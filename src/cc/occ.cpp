@@ -41,7 +41,13 @@ Status Transaction::OccRead(Table* table, Oid oid, Slice* value) {
     slot = table->array().Slot(oid);
     v = OccLatestCommitted(slot->load(std::memory_order_acquire));
   }
-  if (v == nullptr) return Status::NotFound();
+  if (v == nullptr) {
+    // Absence is validated too (OccReadSetValid), so an Insert() that found
+    // a racer's in-flight entry cannot overwrite the record the racer
+    // commits meanwhile and commit a second insert of the same key.
+    read_set_.push_back({nullptr, slot});
+    return Status::NotFound();
+  }
   if (ERMIA_UNLIKELY(v->stub)) v = MaterializeStub(table, oid, v);
   read_set_.push_back({v, slot});
   if (v->tombstone) return Status::NotFound();
@@ -97,6 +103,37 @@ Status Transaction::OccUpdate(Table* table, Oid oid, const Slice& value,
   return Status::OK();
 }
 
+// A read is valid if its slot still leads to the observed version through
+// nothing but our own installs; a foreign in-flight intent on top counts as
+// a conflict (writer-wins). An absent read (no committed version observed)
+// may also pass foreign versions whose owners are still active or aborted:
+// an owner we see active claims its commit stamp after ours
+// (ClaimCommitStamp orders kCommitting before the claim), so it serializes
+// after us. Any committed or committing version invalidates it.
+bool Transaction::OccReadSetValid() const {
+  for (const auto& r : read_set_) {
+    Version* v = r.slot->load(std::memory_order_acquire);
+    while (v != nullptr && v != r.version) {
+      const uint64_t s = v->clsn.load(std::memory_order_acquire);
+      if (!IsTidStamp(s)) break;
+      const uint64_t owner = TidFromStamp(s);
+      if (owner != tid_) {
+        if (r.version != nullptr) break;
+        uint64_t cstamp = 0;
+        const auto outcome = db_->tids().Inquire(owner, &cstamp);
+        if (outcome == TidManager::Outcome::kStale) continue;  // re-read
+        if (outcome == TidManager::Outcome::kCommitted ||
+            (outcome == TidManager::Outcome::kInFlight && cstamp != 0)) {
+          break;
+        }
+      }
+      v = v->next.load(std::memory_order_acquire);
+    }
+    if (v != r.version) return false;
+  }
+  return true;
+}
+
 // Commit path for an OCC transaction that read but staged no writes. Silo's
 // serializability argument hinges on commit-time read validation: each read
 // observed "latest committed" at its own instant, and validation proves the
@@ -110,25 +147,11 @@ Status Transaction::OccReadOnlyCommit() {
   if (ERMIA_UNLIKELY(traced_)) {
     trace::Emit(trace::Event::kCertifyBegin, tid_, 0, 0);
   }
-  // Same walk as OccCommit phase 2. With an empty write set there are no own
-  // installs to skip, so this degenerates to "the observed version is still
-  // the head"; a foreign in-flight intent on top counts as a conflict
-  // (writer-wins, as in the write-bearing path).
-  bool valid = true;
-  for (const auto& r : read_set_) {
-    Version* v = r.slot->load(std::memory_order_acquire);
-    while (v != nullptr && v != r.version) {
-      const uint64_t s = v->clsn.load(std::memory_order_acquire);
-      if (!IsTidStamp(s) || TidFromStamp(s) != tid_) break;
-      v = v->next.load(std::memory_order_acquire);
-    }
-    if (v != r.version) {
-      valid = false;
-      break;
-    }
-  }
+  // Same validation as OccCommit phase 2. With an empty write set there are
+  // no own installs to skip, so this degenerates to "the observed version is
+  // still the head".
   Status failure;
-  if (!valid) {
+  if (!OccReadSetValid()) {
     MarkAbort(metrics::AbortReason::kOccReadValidation);
     failure = Status::Aborted("occ read validation");
   } else {
@@ -168,30 +191,14 @@ Status Transaction::OccCommit() {
 
   // Commit stamp: one fetch_add, as in ERMIA proper. (Silo uses epoch-based
   // TIDs; a totally ordered stamp only strengthens the baseline.)
-  Lsn clsn = ReserveCommitBlock();
-  ctx_->cstamp.store(clsn.value(), std::memory_order_release);
-  ctx_->StoreState(TxnState::kCommitting);
+  const Lsn clsn = ClaimCommitStamp();
   if (ERMIA_UNLIKELY(traced_)) {
     trace::Emit(trace::Event::kCertifyBegin, tid_, 0, 0);
   }
 
-  // Phase 2: validate the read set. A read is valid if the slot still leads
-  // to the observed version through nothing but our own installs.
-  bool valid = true;
-  for (const auto& r : read_set_) {
-    Version* v = r.slot->load(std::memory_order_acquire);
-    while (v != nullptr && v != r.version) {
-      const uint64_t s = v->clsn.load(std::memory_order_acquire);
-      if (!IsTidStamp(s) || TidFromStamp(s) != tid_) break;
-      v = v->next.load(std::memory_order_acquire);
-    }
-    if (v != r.version) {
-      valid = false;
-      break;
-    }
-  }
+  // Phase 2: validate the read set.
   Status failure;
-  if (!valid) {
+  if (!OccReadSetValid()) {
     MarkAbort(metrics::AbortReason::kOccReadValidation);
     failure = Status::Aborted("occ read validation");
   } else {

@@ -35,10 +35,13 @@ Version* Transaction::SiVisibleVersion(Table* table, Oid oid) {
         v = v->next.load(std::memory_order_acquire);
         continue;
       case TidManager::Outcome::kInFlight:
-        if (cstamp != 0 && Lsn(cstamp).offset() < begin_) {
-          // Pre-committing with a stamp inside our snapshot: its outcome
-          // determines what we must read — wait it out (pre-commit is short
-          // and never blocks on us, so this is bounded).
+        if (cstamp == kCstampPending ||
+            (cstamp != 0 && Lsn(cstamp).offset() < begin_)) {
+          // Pre-committing with a stamp that is still being claimed or lies
+          // inside our snapshot: its outcome determines what we must read —
+          // wait it out (pre-commit is short and never blocks on us, so this
+          // is bounded). An owner we see as kActive claims its stamp after
+          // our begin offset, so skipping it is safe (ClaimCommitStamp).
           backoff.Pause();
           continue;
         }
@@ -158,9 +161,7 @@ Status Transaction::SiUpdate(Table* table, Oid oid, const Slice& value,
 }
 
 Status Transaction::SiCommit() {
-  Lsn clsn = ReserveCommitBlock();
-  ctx_->cstamp.store(clsn.value(), std::memory_order_release);
-  ctx_->StoreState(TxnState::kCommitting);
+  const Lsn clsn = ClaimCommitStamp();
   InstallCommitBlock(clsn);
   // Visibility point: all updates become visible atomically (§3.1).
   ctx_->StoreState(TxnState::kCommitted);

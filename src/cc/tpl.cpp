@@ -116,9 +116,7 @@ Status Transaction::TplCommit() {
     Abort();
     return ns;
   }
-  Lsn clsn = ReserveCommitBlock();
-  ctx_->cstamp.store(clsn.value(), std::memory_order_release);
-  ctx_->StoreState(TxnState::kCommitting);
+  const Lsn clsn = ClaimCommitStamp();
   InstallCommitBlock(clsn);
   ctx_->StoreState(TxnState::kCommitted);
   PostCommit(clsn);

@@ -91,10 +91,12 @@ class FastRandom {
 
 // Zipfian generator over [0, n) with parameter theta (0 = uniform-ish,
 // paper's "80-20" skew corresponds to theta ~= 0.83). Gray et al. method.
+// Holds only the distribution's constants (zeta takes O(n) to compute), so
+// one instance is shared by every worker; each draw consumes the caller's
+// own seeded generator.
 class ZipfianRandom {
  public:
-  ZipfianRandom(uint64_t n, double theta, uint64_t seed)
-      : rng_(seed), n_(n), theta_(theta) {
+  ZipfianRandom(uint64_t n, double theta) : n_(n), theta_(theta) {
     zetan_ = Zeta(n_, theta_);
     zeta2_ = Zeta(2, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
@@ -102,8 +104,8 @@ class ZipfianRandom {
            (1.0 - zeta2_ / zetan_);
   }
 
-  uint64_t Next() {
-    const double u = rng_.NextDouble();
+  uint64_t Next(FastRandom& rng) const {
+    const double u = rng.NextDouble();
     const double uz = u * zetan_;
     if (uz < 1.0) return 0;
     if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
@@ -118,7 +120,6 @@ class ZipfianRandom {
     return sum;
   }
 
-  FastRandom rng_;
   uint64_t n_;
   double theta_;
   double zetan_, zeta2_, alpha_, eta_;

@@ -1,32 +1,225 @@
 #include "index/btree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstring>
 
 namespace ermia {
 
 // ---------------------------------------------------------------------------
-// Node layout and optimistic version-lock protocol.
+// Node layout (Masstree's, Mao et al. EuroSys '12 §4) and ordering rule.
+//
+// A key is kept as its slice -- the first 8 bytes, zero-padded and read
+// big-endian, so integer order is byte order -- plus its length. Keys order
+// by (slice, min(len, 9)); only when both keys are longer than 8 bytes do
+// the bytes past the slice (the suffix) decide. That is exactly bytewise
+// lexicographic order: equal padded slices make the shorter key a prefix of
+// the longer one unless both run past 8 bytes. Suffixes live in a per-node
+// side array, slot-aligned with slices[], allocated on the node's first long
+// key. The suffix's own first 8 bytes are stored as a second dense slice
+// array ordered by the same rule, so keys that tie on their first 8 bytes
+// (TPC-C's (warehouse, district) prefixes) mostly resolve there too. Every
+// node is cache-line aligned:
+//
+//   line 0      version | suffixes | count | is_leaf | lens[32]
+//   lines 1-4   slices[32]
+//   then        leaf: values[32], next        inner: children[33]
+//
+// so a binary search over 32 keys touches the header and the slice lines
+// only. A leaf is 512 B, an inner node 640 B.
 //
 // version word: even = unlocked, odd = locked. Writers CAS v -> v+1 to lock
 // and store v+2 to unlock, so any modification advances the stable version by
 // 2 and invalidates concurrent optimistic readers.
 // ---------------------------------------------------------------------------
 
-struct BTree::Node {
+namespace {
+
+constexpr size_t kSliceBytes = 8;
+// Bytes of a key past its first two slices. Stored keys are shorter than
+// kMaxKeySize (see btree.h).
+constexpr size_t kRestBytes = kMaxKeySize - 1 - 2 * kSliceBytes;
+
+// Orders two keys at one slice position by the slices, then by the length
+// classes min(len, 9). 0 means both keys end here at the same length
+// (equal) or both continue past this slice (undecided).
+inline int CompareSlice(uint64_t a, size_t alen, uint64_t b, size_t blen) {
+  if (a != b) return a < b ? -1 : 1;
+  const size_t acls = std::min(alen, kSliceBytes + 1);
+  const size_t bcls = std::min(blen, kSliceBytes + 1);
+  return (acls > bcls) - (acls < bcls);
+}
+
+inline uint64_t SliceOf(const char* data, size_t len) {
+  uint64_t s = 0;
+  if (len >= kSliceBytes) {
+    std::memcpy(&s, data, kSliceBytes);
+  } else if (len > 0) {
+    std::memcpy(&s, data, len);
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    s = __builtin_bswap64(s);
+  }
+  return s;
+}
+
+// Writes the slice's 8 bytes (the key's first bytes, zero-padded) to out.
+inline void StoreSlice(uint64_t s, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    s = __builtin_bswap64(s);
+  }
+  std::memcpy(out, &s, sizeof s);
+}
+
+}  // namespace
+
+// Key bytes past the first 8, for the slots whose keys are longer: bytes
+// 8-15 as a slice (zero-padded, big-endian) and the rest verbatim.
+struct BTree::Suffixes {
+  uint64_t slices[kFanout];
+  char rest[kFanout][kRestBytes];
+};
+
+struct BTree::SearchKey {
+  explicit SearchKey(const Slice& k)
+      : data(k.data()),
+        len(k.size()),
+        slice(SliceOf(k.data(), k.size())),
+        slice2(len > kSliceBytes
+                   ? SliceOf(k.data() + kSliceBytes, len - kSliceBytes)
+                   : 0) {}
+  const char* data;
+  size_t len;
+  uint64_t slice;
+  uint64_t slice2;  // bytes 8-15
+};
+
+struct alignas(kCacheLineSize) BTree::Node {
   std::atomic<uint64_t> version{2};
+  // Suffix bytes of the keys longer than 8 bytes. Allocated by the node's
+  // first long key and published (release) before any lens[i] > 8 is
+  // stored; never replaced, and freed only with the tree.
+  std::atomic<Suffixes*> suffixes{nullptr};
+  uint8_t count = 0;
   bool is_leaf = false;
-  int count = 0;
-  Varstr keys[kFanout];
+  uint8_t lens[kFanout] = {};
+  alignas(kCacheLineSize) uint64_t slices[kFanout] = {};
+
+  // <0, 0, >0 as key i is below, equal to, or above k. `sfx` is this
+  // node's suffix array as loaded by the caller (null only in a torn read,
+  // which the caller's version validation discards).
+  int Compare(int i, const SearchKey& k, const Suffixes* sfx) const {
+    const size_t len = lens[i];
+    int c = CompareSlice(slices[i], len, k.slice, k.len);
+    if (c != 0 || len <= kSliceBytes) return c;
+    if (ERMIA_UNLIKELY(sfx == nullptr)) return 0;
+    c = CompareSlice(sfx->slices[i], len - kSliceBytes, k.slice2,
+                     k.len - kSliceBytes);
+    if (c != 0 || len <= 2 * kSliceBytes) return c;
+    c = std::memcmp(sfx->rest[i], k.data + 2 * kSliceBytes,
+                    std::min(len, k.len) - 2 * kSliceBytes);
+    if (c != 0) return c;
+    return (len > k.len) - (len < k.len);
+  }
+
+  // First slot whose key is >= k (LowerBound) or > k (UpperBound).
+  int LowerBound(const SearchKey& k, const Suffixes* sfx) const {
+    int lo = 0, hi = count;
+    while (lo < hi) {
+      const int mid = (lo + hi) / 2;
+      if (Compare(mid, k, sfx) < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+  int UpperBound(const SearchKey& k, const Suffixes* sfx) const {
+    int lo = 0, hi = count;
+    while (lo < hi) {
+      const int mid = (lo + hi) / 2;
+      if (Compare(mid, k, sfx) <= 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  // The writer-side helpers below run with the node locked (or not yet
+  // published).
+  Suffixes* EnsureSuffixes() {
+    Suffixes* sfx = suffixes.load(std::memory_order_relaxed);
+    if (sfx == nullptr) {
+      sfx = new Suffixes;
+      suffixes.store(sfx, std::memory_order_release);
+    }
+    return sfx;
+  }
+
+  void SetKey(int i, const Slice& key) {
+    const size_t len = key.size();
+    slices[i] = SliceOf(key.data(), len);
+    if (len > kSliceBytes) {
+      Suffixes* sfx = EnsureSuffixes();
+      sfx->slices[i] = SliceOf(key.data() + kSliceBytes, len - kSliceBytes);
+      if (len > 2 * kSliceBytes) {
+        std::memcpy(sfx->rest[i], key.data() + 2 * kSliceBytes,
+                    len - 2 * kSliceBytes);
+      }
+    }
+    lens[i] = static_cast<uint8_t>(len);
+  }
+
+  // Copies key i into slot j of dst.
+  void CopyKeyTo(int i, Node* dst, int j) const {
+    const size_t len = lens[i];
+    dst->slices[j] = slices[i];
+    if (len > kSliceBytes) {
+      const Suffixes* sfx = suffixes.load(std::memory_order_relaxed);
+      Suffixes* dsfx = dst->EnsureSuffixes();
+      dsfx->slices[j] = sfx->slices[i];
+      if (len > 2 * kSliceBytes) {
+        std::memcpy(dsfx->rest[j], sfx->rest[i], len - 2 * kSliceBytes);
+      }
+    }
+    dst->lens[j] = lens[i];
+  }
+
+  // Moves the n keys starting at slot src to slot dst (ranges may overlap).
+  void MoveKeys(int dst, int src, int n) {
+    if (n <= 0) return;
+    std::memmove(&slices[dst], &slices[src], n * sizeof slices[0]);
+    std::memmove(&lens[dst], &lens[src], n);
+    if (Suffixes* sfx = suffixes.load(std::memory_order_relaxed)) {
+      std::memmove(&sfx->slices[dst], &sfx->slices[src],
+                   n * sizeof sfx->slices[0]);
+      std::memmove(sfx->rest[dst], sfx->rest[src], n * kRestBytes);
+    }
+  }
 };
 
 struct BTree::InnerNode : BTree::Node {
-  std::atomic<Node*> children[kFanout + 1];
+  std::atomic<Node*> children[kFanout + 1] = {};
 };
 
 struct BTree::LeafNode : BTree::Node {
-  std::atomic<Oid> values[kFanout];
+  std::atomic<Oid> values[kFanout] = {};
   std::atomic<LeafNode*> next{nullptr};
+
+  // Starts fetching the first sizeof(LeafNode) bytes of a node -- all of a
+  // leaf, and an inner node's keys and first children -- so the misses of
+  // the search that follows overlap instead of serializing. Harmless on a
+  // pointer read from a torn node: prefetches never fault.
+  static void Prefetch(const void* node) {
+    const char* p = static_cast<const char*>(node);
+    for (size_t off = 0; off < sizeof(LeafNode); off += kCacheLineSize) {
+      __builtin_prefetch(p + off);
+    }
+  }
 };
 
 namespace {
@@ -63,42 +256,16 @@ void BTree::Unlock(Node* node) {
   node->version.store(v + 1, std::memory_order_release);
 }
 
-// First child index whose subtree may contain `key`: smallest i with
-// key < keys[i], else count.
-int BTree::ChildIndex(const Node* inner, const Slice& key) {
-  int lo = 0, hi = inner->count;
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (key.compare(inner->keys[mid].slice()) < 0) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-// First position with keys[pos] >= key.
-int BTree::LowerBoundPos(const Node* leaf, const Slice& key) {
-  int lo = 0, hi = leaf->count;
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (leaf->keys[mid].slice().compare(key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 BTree::BTree() {
+  static_assert(offsetof(Node, slices) == kCacheLineSize,
+                "the node header must fit one cache line");
   Node* leaf = AllocLeaf();
   root_.store(leaf, std::memory_order_release);
 }
 
 BTree::~BTree() {
   for (Node* n : all_nodes_) {
+    delete n->suffixes.load(std::memory_order_relaxed);
     if (n->is_leaf) {
       delete static_cast<LeafNode*>(n);
     } else {
@@ -124,18 +291,25 @@ BTree::Node* BTree::AllocLeaf() {
 }
 
 // Splits `child` (locked, full) under `parent` (locked, not full); the new
-// sibling takes the upper half.
-void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
+// sibling takes the keys from slot `mid` up.
+void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child,
+                       int mid) {
   ERMIA_DCHECK(child->count == kFanout);
   ERMIA_DCHECK(parent->count < kFanout);
-  Varstr sep;
+  ERMIA_DCHECK(mid > 0 && mid < kFanout);
+  // Make room for the separator first: it is copied straight from the child.
+  parent->MoveKeys(child_idx + 1, child_idx, parent->count - child_idx);
+  for (int i = parent->count; i > child_idx; --i) {
+    parent->children[i + 1].store(
+        parent->children[i].load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
   Node* sibling;
-  const int mid = kFanout / 2;
   if (child->is_leaf) {
     auto* leaf = static_cast<LeafNode*>(child);
     auto* sib = static_cast<LeafNode*>(AllocLeaf());
     for (int i = mid; i < kFanout; ++i) {
-      sib->keys[i - mid] = leaf->keys[i];
+      leaf->CopyKeyTo(i, sib, i - mid);
       sib->values[i - mid].store(leaf->values[i].load(std::memory_order_relaxed),
                                  std::memory_order_relaxed);
     }
@@ -144,15 +318,15 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
     sib->next.store(leaf->next.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     leaf->next.store(sib, std::memory_order_release);
-    sep = sib->keys[0];
+    sib->CopyKeyTo(0, parent, child_idx);  // separator: sibling's first key
     sibling = sib;
   } else {
     auto* inner = static_cast<InnerNode*>(child);
     auto* sib = static_cast<InnerNode*>(AllocInner());
     // Middle key moves up; upper keys/children move to the sibling.
-    sep = inner->keys[mid];
+    inner->CopyKeyTo(mid, parent, child_idx);
     for (int i = mid + 1; i < kFanout; ++i) {
-      sib->keys[i - mid - 1] = inner->keys[i];
+      inner->CopyKeyTo(i, sib, i - mid - 1);
     }
     for (int i = mid + 1; i <= kFanout; ++i) {
       sib->children[i - mid - 1].store(
@@ -163,14 +337,6 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
     inner->count = mid;
     sibling = sib;
   }
-  // Insert (sep, sibling) into the parent at child_idx.
-  for (int i = parent->count; i > child_idx; --i) {
-    parent->keys[i] = parent->keys[i - 1];
-    parent->children[i + 1].store(
-        parent->children[i].load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  parent->keys[child_idx] = sep;
   parent->children[child_idx + 1].store(sibling, std::memory_order_release);
   parent->count++;
   splits_.fetch_add(1, std::memory_order_relaxed);
@@ -186,7 +352,7 @@ void BTree::SplitRoot() {
   const uint64_t nv = AwaitStable(new_root->version);
   ERMIA_CHECK(TryLock(new_root, nv));
   new_root->children[0].store(old_root, std::memory_order_relaxed);
-  SplitChild(new_root, 0, old_root);
+  SplitChild(new_root, 0, old_root, kFanout / 2);
   root_.store(new_root, std::memory_order_release);
   Unlock(new_root);
   Unlock(old_root);
@@ -195,6 +361,7 @@ void BTree::SplitRoot() {
 Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
                      Oid* existing) {
   ERMIA_CHECK(key.size() < kMaxKeySize);  // scans need successor headroom
+  const SearchKey k(key);
   Backoff backoff;
   for (;;) {
     Node* node = root_.load(std::memory_order_acquire);
@@ -206,10 +373,14 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
       continue;
     }
     bool restart = false;
+    bool rightmost = true;  // on the tree's rightmost root-to-leaf path
     while (!node->is_leaf) {
       auto* inner = static_cast<InnerNode*>(node);
-      const int idx = ChildIndex(inner, key);
+      const int idx =
+          inner->UpperBound(k, inner->suffixes.load(std::memory_order_acquire));
+      rightmost = rightmost && idx == inner->count;
       Node* child = inner->children[idx].load(std::memory_order_acquire);
+      LeafNode::Prefetch(child);
       if (!Validate(node, v)) {
         restart = true;
         break;
@@ -230,7 +401,15 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
           restart = true;
           break;
         }
-        SplitChild(inner, idx, child);
+        // Appending past the tree's largest key (a sequential load) splits
+        // off only the last slot, so the nodes it leaves behind stay full
+        // rather than half empty (Masstree's sequential-insert split).
+        const bool append =
+            rightmost &&
+            child->Compare(kFanout - 1, k,
+                           child->suffixes.load(std::memory_order_relaxed)) < 0;
+        SplitChild(inner, idx, child,
+                   append ? kFanout - (child->is_leaf ? 1 : 2) : kFanout / 2);
         Unlock(child);
         Unlock(node);
         restart = true;  // re-descend: the key may belong in the sibling
@@ -244,8 +423,9 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
       continue;
     }
     auto* leaf = static_cast<LeafNode*>(node);
-    const int pos = LowerBoundPos(leaf, key);
-    if (pos < leaf->count && leaf->keys[pos].slice() == key) {
+    const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
+    const int pos = leaf->LowerBound(k, sfx);
+    if (pos < leaf->count && leaf->Compare(pos, k, sfx) == 0) {
       const Oid ex = leaf->values[pos].load(std::memory_order_relaxed);
       if (!Validate(node, v)) {
         backoff.Pause();
@@ -260,12 +440,12 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
       continue;
     }
     // Lock acquired at version v: contents are exactly as read above.
+    leaf->MoveKeys(pos + 1, pos, leaf->count - pos);
     for (int i = leaf->count; i > pos; --i) {
-      leaf->keys[i] = leaf->keys[i - 1];
       leaf->values[i].store(leaf->values[i - 1].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
     }
-    leaf->keys[pos].Assign(key);
+    leaf->SetKey(pos, key);
     leaf->values[pos].store(oid, std::memory_order_relaxed);
     leaf->count++;
     Unlock(node);
@@ -274,7 +454,7 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
   }
 }
 
-BTree::LeafNode* BTree::DescendToLeaf(const Slice& key,
+BTree::LeafNode* BTree::DescendToLeaf(const SearchKey& key,
                                       uint64_t* leaf_version) const {
   Backoff backoff;
   for (;;) {
@@ -284,8 +464,10 @@ BTree::LeafNode* BTree::DescendToLeaf(const Slice& key,
     bool restart = false;
     while (!node->is_leaf) {
       auto* inner = static_cast<const InnerNode*>(node);
-      const int idx = ChildIndex(inner, key);
+      const int idx =
+          inner->UpperBound(key, inner->suffixes.load(std::memory_order_acquire));
       Node* child = inner->children[idx].load(std::memory_order_acquire);
+      LeafNode::Prefetch(child);
       if (!Validate(node, v)) {
         restart = true;
         break;
@@ -309,12 +491,14 @@ BTree::LeafNode* BTree::DescendToLeaf(const Slice& key,
 }
 
 bool BTree::Lookup(const Slice& key, Oid* oid, NodeHandle* handle) const {
+  const SearchKey k(key);
   Backoff backoff;
   for (;;) {
     uint64_t v;
-    LeafNode* leaf = DescendToLeaf(key, &v);
-    const int pos = LowerBoundPos(leaf, key);
-    const bool found = pos < leaf->count && leaf->keys[pos].slice() == key;
+    LeafNode* leaf = DescendToLeaf(k, &v);
+    const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
+    const int pos = leaf->LowerBound(k, sfx);
+    const bool found = pos < leaf->count && leaf->Compare(pos, k, sfx) == 0;
     const Oid value =
         found ? leaf->values[pos].load(std::memory_order_relaxed) : 0;
     if (!Validate(leaf, v)) {
@@ -328,43 +512,63 @@ bool BTree::Lookup(const Slice& key, Oid* oid, NodeHandle* handle) const {
   }
 }
 
+// The key Slice handed to the callback is valid only during the call: key
+// bytes are rebuilt from the snapshot into the cursor buffer at delivery.
 size_t BTree::Scan(const Slice& lo, const Slice& hi,
                    const std::function<bool(const Slice&, Oid)>& cb,
                    std::vector<NodeHandle>* handles) const {
-  // Cursor with headroom for the one-byte successor suffix.
+  // The cursor is the least key not yet delivered: lo, then the successor
+  // (key + '\0') of the last key delivered, so a restart resumes after it.
   char cursor_buf[kMaxKeySize + 1];
   size_t cursor_len = std::min(lo.size(), sizeof cursor_buf);
   std::memcpy(cursor_buf, lo.data(), cursor_len);
+  const SearchKey hi_key(hi);
 
   struct Entry {
-    Varstr key;
+    uint64_t slice;
+    uint64_t slice2;
     Oid oid;
+    uint8_t len;
   };
   Entry snapshot[kFanout];
+  char rest[kFanout][kRestBytes];
 
   size_t delivered = 0;
   Backoff backoff;
 
 restart:
   for (;;) {
-    const Slice cursor(cursor_buf, cursor_len);
     uint64_t v;
-    LeafNode* leaf = DescendToLeaf(cursor, &v);
+    LeafNode* leaf =
+        DescendToLeaf(SearchKey(Slice(cursor_buf, cursor_len)), &v);
     for (;;) {
-      // Snapshot the leaf, validate, then deliver from the snapshot.
+      // Snapshot [cursor, hi] of the leaf, validate, then deliver from the
+      // snapshot. Keys ascend along the leaf chain, so hi can only end the
+      // scan in a leaf whose last key is past it.
+      const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
       const int count = leaf->count;
-      int n = 0;
-      for (int i = 0; i < count; ++i) {
-        const Slice k = leaf->keys[i].slice();
-        if (k.compare(Slice(cursor_buf, cursor_len)) < 0) continue;
-        if (!hi.empty() && hi.compare(k) < 0) break;
-        snapshot[n].key = leaf->keys[i];
-        snapshot[n].oid = leaf->values[i].load(std::memory_order_relaxed);
-        ++n;
+      int end = count;
+      bool exhausted = false;
+      if (!hi.empty() && count > 0 && leaf->Compare(count - 1, hi_key, sfx) > 0) {
+        end = leaf->UpperBound(hi_key, sfx);
+        exhausted = true;
       }
-      const bool exhausted =
-          count > 0 && !hi.empty() && hi.compare(leaf->keys[count - 1].slice()) < 0;
+      int n = 0;
+      for (int i = leaf->LowerBound(SearchKey(Slice(cursor_buf, cursor_len)),
+                                    sfx);
+           i < end; ++i, ++n) {
+        const uint8_t len = leaf->lens[i];
+        snapshot[n] = {leaf->slices[i], 0,
+                       leaf->values[i].load(std::memory_order_relaxed), len};
+        if (len > kSliceBytes && sfx != nullptr) {
+          snapshot[n].slice2 = sfx->slices[i];
+          if (len > 2 * kSliceBytes) {
+            std::memcpy(rest[n], sfx->rest[i], len - 2 * kSliceBytes);
+          }
+        }
+      }
       LeafNode* next = leaf->next.load(std::memory_order_acquire);
+      if (next != nullptr && !exhausted) LeafNode::Prefetch(next);
       if (!Validate(leaf, v)) {
         read_retries_.fetch_add(1, std::memory_order_relaxed);
         backoff.Pause();
@@ -374,11 +578,19 @@ restart:
       for (int i = 0; i < n; ++i) {
         // Advance the cursor past this key before delivering so a restart
         // resumes correctly even if the callback has side effects.
-        std::memcpy(cursor_buf, snapshot[i].key.data(), snapshot[i].key.size());
-        cursor_buf[snapshot[i].key.size()] = '\0';
-        cursor_len = snapshot[i].key.size() + 1;
+        const size_t len = snapshot[i].len;
+        StoreSlice(snapshot[i].slice, cursor_buf);
+        if (len > kSliceBytes) {
+          StoreSlice(snapshot[i].slice2, cursor_buf + kSliceBytes);
+          if (len > 2 * kSliceBytes) {
+            std::memcpy(cursor_buf + 2 * kSliceBytes, rest[i],
+                        len - 2 * kSliceBytes);
+          }
+        }
+        cursor_buf[len] = '\0';
+        cursor_len = len + 1;
         ++delivered;
-        if (!cb(snapshot[i].key.slice(), snapshot[i].oid)) return delivered;
+        if (!cb(Slice(cursor_buf, len), snapshot[i].oid)) return delivered;
       }
       if (exhausted || next == nullptr) return delivered;
       const uint64_t nv = AwaitStable(next->version);
@@ -414,12 +626,14 @@ size_t BTree::ScanReverse(const Slice& lo, const Slice& hi,
 }
 
 Status BTree::Remove(const Slice& key) {
+  const SearchKey k(key);
   Backoff backoff;
   for (;;) {
     uint64_t v;
-    LeafNode* leaf = DescendToLeaf(key, &v);
-    const int pos = LowerBoundPos(leaf, key);
-    const bool found = pos < leaf->count && leaf->keys[pos].slice() == key;
+    LeafNode* leaf = DescendToLeaf(k, &v);
+    const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
+    const int pos = leaf->LowerBound(k, sfx);
+    const bool found = pos < leaf->count && leaf->Compare(pos, k, sfx) == 0;
     if (!found) {
       if (!Validate(leaf, v)) {
         backoff.Pause();
@@ -431,8 +645,8 @@ Status BTree::Remove(const Slice& key) {
       backoff.Pause();
       continue;
     }
+    leaf->MoveKeys(pos, pos + 1, leaf->count - pos - 1);
     for (int i = pos; i < leaf->count - 1; ++i) {
-      leaf->keys[i] = leaf->keys[i + 1];
       leaf->values[i].store(leaf->values[i + 1].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
     }

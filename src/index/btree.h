@@ -8,9 +8,14 @@
 // its version, which is exactly the hook the CC layer's node sets use for
 // phantom protection (paper §3.6.2, inherited from Silo).
 //
+// Nodes use Masstree's key layout (btree.cpp): a dense array of 8-byte
+// big-endian key slices plus lengths, with the bytes past the first 8 kept
+// in a side array that only nodes holding long keys allocate.
+//
 // Notes scoped to this reproduction:
 //  * Keys are at most kMaxKeySize-1 bytes (scans need one byte of headroom
 //    for successor cursors).
+//  * The key Slice a scan callback receives is valid only during that call.
 //  * Remove() deletes leaf entries in place without merging underfull nodes;
 //    interior nodes are never freed until the tree is destroyed, so readers
 //    need no hazard pointers.
@@ -86,15 +91,15 @@ class BTree {
   struct Node;
   struct InnerNode;
   struct LeafNode;
+  struct Suffixes;   // per-node bytes of keys longer than 8
+  struct SearchKey;  // a probe key with its slices precomputed
 
   static bool Validate(const Node* node, uint64_t v);
   static bool TryLock(Node* node, uint64_t v);
   static void Unlock(Node* node);
-  static int ChildIndex(const Node* inner, const Slice& key);
-  static int LowerBoundPos(const Node* leaf, const Slice& key);
 
-  LeafNode* DescendToLeaf(const Slice& key, uint64_t* leaf_version) const;
-  void SplitChild(InnerNode* parent, int child_idx, Node* child);
+  LeafNode* DescendToLeaf(const SearchKey& key, uint64_t* leaf_version) const;
+  void SplitChild(InnerNode* parent, int child_idx, Node* child, int mid);
   void SplitRoot();
   Node* AllocInner();
   Node* AllocLeaf();

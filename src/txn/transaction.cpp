@@ -438,6 +438,19 @@ Lsn Transaction::ReserveCommitBlock() {
   return db_->log().ReserveBlock(BlockSizeForStaging());
 }
 
+// kCommitting and the pending sentinel must be visible before the stamp is
+// claimed. A reader whose snapshot begins past our reserved LSN then finds
+// us committing with a pending or earlier stamp and waits for the outcome
+// (SiVisibleVersion); were we still kActive with no stamp, it would skip our
+// version and read a torn snapshot of a transaction that commits inside it.
+Lsn Transaction::ClaimCommitStamp() {
+  ctx_->cstamp.store(kCstampPending, std::memory_order_release);
+  ctx_->StoreState(TxnState::kCommitting);
+  const Lsn clsn = ReserveCommitBlock();
+  ctx_->cstamp.store(clsn.value(), std::memory_order_release);
+  return clsn;
+}
+
 void Transaction::InstallCommitBlock(Lsn lsn) {
   ERMIA_PROF_LOG();
   const uint32_t size = BlockSizeForStaging();

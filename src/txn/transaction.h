@@ -148,6 +148,10 @@ class Transaction {
   uint32_t BlockSizeForStaging() const;
   // Single fetch_add: claims the commit stamp and the log space (§3.3).
   Lsn ReserveCommitBlock();
+  // SI/OCC/2PL pre-commit: publishes kCommitting with the pending sentinel,
+  // then reserves the commit block and publishes its stamp (SsnCommit
+  // follows the same order inline).
+  Lsn ClaimCommitStamp();
   // Serializes staged records into the reserved space and fixes durable
   // addresses (log_ptr) on the new versions.
   void InstallCommitBlock(Lsn lsn);
@@ -227,6 +231,8 @@ class Transaction {
   Status OccUpdate(Table* table, Oid oid, const Slice& value, bool tombstone);
   Status OccCommit();
   Status OccReadOnlyCommit();
+  // Commit-time check of the whole read set (both commit paths).
+  bool OccReadSetValid() const;
 
   Database* db_;
   CcScheme scheme_;

@@ -7,6 +7,9 @@ Status YcsbWorkload::Load(Database* db) {
   table_ = db->CreateTable("usertable");
   pk_ = db->CreateIndex(table_, "usertable_pk");
   insert_cursor_.store(cfg_.records);
+  if (cfg_.zipf_theta > 0) {
+    zipf_ = std::make_unique<ZipfianRandom>(cfg_.records, cfg_.zipf_theta);
+  }
   FastRandom rng(0x5CB);
   std::string value(cfg_.value_size, 'y');
   std::unique_ptr<Transaction> txn;
@@ -40,19 +43,14 @@ const char* YcsbWorkload::TxnTypeName(size_t) const {
   return "YCSB";
 }
 
-uint64_t YcsbWorkload::PickKey(uint32_t worker_id, FastRandom& rng) {
+uint64_t YcsbWorkload::PickKey(FastRandom& rng) const {
   const uint64_t n = insert_cursor_.load(std::memory_order_relaxed);
-  if (cfg_.zipf_theta <= 0) return rng.UniformU64(0, n - 1);
-  auto& zipf = zipf_[worker_id % kMaxThreads];
-  if (!zipf) {
-    zipf = std::make_unique<ZipfianRandom>(cfg_.records, cfg_.zipf_theta,
-                                           worker_id * 31 + 7);
-  }
-  return zipf->Next() % n;
+  if (!zipf_) return rng.UniformU64(0, n - 1);
+  return zipf_->Next(rng) % n;
 }
 
 Status YcsbWorkload::RunTxn(Database* db, CcScheme scheme, size_t /*type*/,
-                            uint32_t worker_id, uint32_t /*num_workers*/,
+                            uint32_t /*worker_id*/, uint32_t /*num_workers*/,
                             FastRandom& rng) {
   const bool read_only = cfg_.mix == YcsbMix::kC;
   Transaction txn(db, scheme, read_only);
@@ -79,7 +77,7 @@ Status YcsbWorkload::RunTxn(Database* db, CcScheme scheme, size_t /*type*/,
     const bool is_read = rng.NextDouble() < read_fraction;
     if (cfg_.mix == YcsbMix::kE) {
       if (is_read) {
-        const uint64_t start = PickKey(worker_id, rng);
+        const uint64_t start = PickKey(rng);
         ERMIA_RETURN_NOT_OK(txn.Scan(
             pk_, Key(start).slice(), Slice(), cfg_.scan_length,
             [](const Slice&, const Slice&) { return true; }));
@@ -91,7 +89,7 @@ Status YcsbWorkload::RunTxn(Database* db, CcScheme scheme, size_t /*type*/,
       }
       continue;
     }
-    const uint64_t k = PickKey(worker_id, rng);
+    const uint64_t k = PickKey(rng);
     Oid oid = 0;
     Status g = txn.GetOid(pk_, Key(k).slice(), &oid);
     if (g.IsNotFound()) continue;

@@ -46,14 +46,15 @@ class YcsbWorkload : public bench::Workload {
   static Varstr Key(uint64_t k) { return KeyEncoder().U64(k).varstr(); }
 
  private:
-  uint64_t PickKey(uint32_t worker_id, FastRandom& rng);
+  uint64_t PickKey(FastRandom& rng) const;
 
   YcsbConfig cfg_;
   Table* table_ = nullptr;
   Index* pk_ = nullptr;
   std::atomic<uint64_t> insert_cursor_{0};
-  // One Zipfian generator per worker (the generator is not thread-safe).
-  std::unique_ptr<ZipfianRandom> zipf_[kMaxThreads];
+  // Built by Load when zipf_theta > 0; shared by all workers, who draw from
+  // it with their own run-seeded generators.
+  std::unique_ptr<ZipfianRandom> zipf_;
 };
 
 }  // namespace ycsb

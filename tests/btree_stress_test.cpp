@@ -7,6 +7,8 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -163,6 +165,104 @@ TEST(BTreeStressTest, RemoveHeavyThenReinsert) {
     ASSERT_TRUE(tree.Insert(K(i), static_cast<Oid>(i + 7), &nh, nullptr).ok());
   }
   EXPECT_EQ(tree.Size(), kN);
+}
+
+// TPC-C-shaped long keys (16-40 bytes) that all tie on their first 8 bytes,
+// so every comparison past the slice reads the nodes' suffix arrays while
+// writers split nodes and shift suffixes under concurrent scans.
+std::string LongKey(uint32_t o, uint32_t ol) {
+  KeyEncoder e;
+  e.U32(1).U32(1).U32(o).U32(ol);
+  e.Str(std::string((o * 7 + ol) % 25, 'f'), (o * 7 + ol) % 25);
+  return e.slice().ToString();
+}
+
+TEST(BTreeStressTest, LongKeySplitStormWithScans) {
+  BTree tree;
+  constexpr int kWriters = 4;
+  constexpr uint32_t kOrders = 1200;
+  constexpr uint32_t kLines = 12;
+  // Stable keys (line 0 of every order) are loaded up front and never
+  // removed; scans must always see all of them, in order.
+  NodeHandle nh;
+  for (uint32_t o = 0; o < kOrders; ++o) {
+    ASSERT_TRUE(tree.Insert(LongKey(o, 0), o + 1, &nh, nullptr).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> violations{0};
+  auto scanner = [&](uint64_t seed) {
+    FastRandom rng(seed);
+    while (!stop.load(std::memory_order_acquire)) {
+      const uint32_t a = static_cast<uint32_t>(rng.UniformU64(0, kOrders - 1));
+      const uint32_t b = static_cast<uint32_t>(rng.UniformU64(a, kOrders - 1));
+      const std::string lo = LongKey(a, 0);
+      const std::string hi = LongKey(b, 0);
+      std::string prev;
+      uint32_t stable_seen = 0;
+      tree.Scan(
+          lo, hi,
+          [&](const Slice& key, Oid) {
+            const std::string k = key.ToString();
+            if (!prev.empty() && k <= prev) violations.fetch_add(1);
+            if (k < lo || k > hi) violations.fetch_add(1);
+            KeyDecoder dec(key);
+            dec.U32();
+            dec.U32();
+            dec.U32();
+            if (dec.U32() == 0) ++stable_seen;
+            prev = k;
+            return true;
+          },
+          nullptr);
+      if (stable_seen != b - a + 1) violations.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> scanners;
+  for (int i = 0; i < 2; ++i) scanners.emplace_back(scanner, 17 + i);
+  // Writers own the orders o % kWriters == t: ascending inserts split the
+  // same leaves over and over; every third line is removed again.
+  std::vector<std::set<std::string>> owned(kWriters);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      NodeHandle h;
+      for (uint32_t ol = 1; ol <= kLines; ++ol) {
+        for (uint32_t o = static_cast<uint32_t>(t); o < kOrders; o += kWriters) {
+          const std::string k = LongKey(o, ol);
+          if (!tree.Insert(k, o * 100 + ol, &h, nullptr).ok()) {
+            violations.fetch_add(1);
+          }
+          owned[t].insert(k);
+          if (ol % 3 == 0) {
+            const std::string gone = LongKey(o, ol - 1);
+            if (!tree.Remove(gone).ok()) violations.fetch_add(1);
+            owned[t].erase(gone);
+          }
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& s : scanners) s.join();
+  EXPECT_EQ(violations.load(), 0u);
+
+  std::set<std::string> expected;
+  for (uint32_t o = 0; o < kOrders; ++o) expected.insert(LongKey(o, 0));
+  for (auto& o : owned) expected.insert(o.begin(), o.end());
+  std::vector<std::string> scanned;
+  tree.Scan(
+      Slice(), Slice(),
+      [&](const Slice& key, Oid) {
+        scanned.push_back(key.ToString());
+        return true;
+      },
+      nullptr);
+  EXPECT_EQ(scanned, std::vector<std::string>(expected.begin(), expected.end()));
+  for (const std::string& k : expected) {
+    Oid oid = 0;
+    ASSERT_TRUE(tree.Lookup(k, &oid, &nh));
+  }
 }
 
 TEST(BTreeStressTest, LeafVersionBumpsOnEveryMutation) {

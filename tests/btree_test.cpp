@@ -3,6 +3,7 @@
 // and concurrent stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -279,6 +280,272 @@ TEST(BTreeTest, LongKeysNearLimit) {
   tree.Scan(
       key, key2, [&](const Slice&, Oid) { return ++n, true; }, nullptr);
   EXPECT_EQ(n, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Key-shape properties: nodes store an 8-byte slice per key and keep the
+// bytes past it in a side array, so the shapes below are the ones that
+// stress the ordering rule (slice, then length class, then suffix bytes).
+// Every family is checked against std::map (whose std::string order is
+// bytewise, like the tree's) for Insert, Lookup, Remove, Scan and
+// ScanReverse with arbitrary bounds.
+// ---------------------------------------------------------------------------
+
+enum class KeyShape { kAnyLength, kSliceTies, kPrefixes, kEdgeBytes, kComposite };
+
+std::string RandomBytes(FastRandom& rng, size_t len, bool edge_bytes) {
+  // A tiny alphabet makes equal slices, shared prefixes and ties common.
+  static const char kAlphabet[] = {'\x00', '\x01', 'a', 'b', '\x7f', '\x80',
+                                   '\xfe', '\xff'};
+  std::string s(len, '\0');
+  for (auto& c : s) {
+    c = edge_bytes ? kAlphabet[rng.UniformU64(0, sizeof kAlphabet - 1)]
+                   : kAlphabet[rng.UniformU64(2, 3)];
+  }
+  return s;
+}
+
+// A pool of distinct keys of one shape; operations draw from it so inserts,
+// removes and lookups collide.
+std::vector<std::string> KeyPool(KeyShape shape, FastRandom& rng) {
+  std::set<std::string> pool;
+  switch (shape) {
+    case KeyShape::kAnyLength:
+      // Every length 0..63, several keys each.
+      for (size_t len = 0; len < kMaxKeySize; ++len) {
+        for (int i = 0; i < 8; ++i) pool.insert(RandomBytes(rng, len, true));
+      }
+      break;
+    case KeyShape::kSliceTies:
+      // Lengths 7, 8 and 9 on a handful of shared 8-byte slices, including
+      // "x" vs "x\0" pairs whose zero-padded slices are identical.
+      for (int base = 0; base < 24; ++base) {
+        const std::string b = RandomBytes(rng, 8, true);
+        pool.insert(b.substr(0, 7));
+        pool.insert(b.substr(0, 7) + '\0');
+        pool.insert(b);
+        for (int i = 0; i < 6; ++i) pool.insert(b + RandomBytes(rng, 1, true));
+        pool.insert(b + RandomBytes(rng, rng.UniformU64(2, 20), true));
+      }
+      break;
+    case KeyShape::kPrefixes: {
+      // Chains of keys that are prefixes of each other, across the 8-byte
+      // boundary.
+      for (int chain = 0; chain < 12; ++chain) {
+        const std::string full = RandomBytes(rng, kMaxKeySize - 1, false);
+        for (size_t len = 0; len < full.size(); len += rng.UniformU64(1, 3)) {
+          pool.insert(full.substr(0, len));
+        }
+        pool.insert(full);
+      }
+      break;
+    }
+    case KeyShape::kEdgeBytes:
+      // Embedded and trailing 0x00 / 0xFF bytes at every position.
+      for (int i = 0; i < 400; ++i) {
+        std::string k = RandomBytes(rng, rng.UniformU64(1, 24), true);
+        k[rng.UniformU64(0, k.size() - 1)] = rng.Bernoulli(0.5) ? '\0' : '\xff';
+        pool.insert(k);
+        pool.insert(k + '\0');
+        pool.insert(k + '\xff');
+      }
+      break;
+    case KeyShape::kComposite:
+      // TPC-C-style composite keys of 12-40 bytes; all tie on their first 8
+      // bytes (warehouse, district) within a district.
+      for (uint32_t w = 1; w <= 2; ++w) {
+        for (uint32_t d = 1; d <= 3; ++d) {
+          for (int i = 0; i < 60; ++i) {
+            KeyEncoder e;
+            e.U32(w).U32(d).U32(static_cast<uint32_t>(rng.UniformU64(0, 40)));
+            switch (rng.UniformU64(0, 3)) {
+              case 0:
+                break;  // 12 bytes (order key)
+              case 1:
+                e.U32(static_cast<uint32_t>(rng.UniformU64(1, 15)));  // 16
+                break;
+              case 2:  // 40 bytes (customer-name key)
+                e.Str(RandomBytes(rng, rng.UniformU64(0, 16), false), 16)
+                    .U64(rng.UniformU64(0, 3))
+                    .U32(static_cast<uint32_t>(rng.UniformU64(0, 3)));
+                break;
+              default:
+                e.U64(rng.UniformU64(0, 1ull << 40));  // 20
+                break;
+            }
+            pool.insert(e.slice().ToString());
+          }
+        }
+      }
+      break;
+  }
+  return {pool.begin(), pool.end()};
+}
+
+class BTreeKeyShapeTest : public ::testing::TestWithParam<KeyShape> {};
+
+std::vector<std::pair<std::string, Oid>> ScanAll(const BTree& tree,
+                                                 const std::string& lo,
+                                                 const std::string* hi,
+                                                 bool reverse, size_t limit) {
+  std::vector<std::pair<std::string, Oid>> out;
+  auto cb = [&](const Slice& k, Oid o) {
+    out.push_back({k.ToString(), o});
+    return out.size() < limit;
+  };
+  const Slice hi_slice = hi != nullptr ? Slice(*hi) : Slice();
+  const size_t delivered = reverse ? tree.ScanReverse(lo, hi_slice, cb, nullptr)
+                                   : tree.Scan(lo, hi_slice, cb, nullptr);
+  EXPECT_EQ(delivered, out.size());
+  return out;
+}
+
+std::vector<std::pair<std::string, Oid>> OracleRange(
+    const std::map<std::string, Oid>& oracle, const std::string& lo,
+    const std::string* hi, bool reverse, size_t limit) {
+  std::vector<std::pair<std::string, Oid>> out;
+  for (auto it = oracle.lower_bound(lo);
+       it != oracle.end() && (hi == nullptr || it->first <= *hi); ++it) {
+    out.push_back(*it);
+  }
+  if (reverse) std::reverse(out.begin(), out.end());
+  if (out.size() > limit) out.resize(limit);
+  return out;
+}
+
+TEST_P(BTreeKeyShapeTest, MatchesOrderedMap) {
+  FastRandom rng(1000 + static_cast<uint64_t>(GetParam()));
+  const std::vector<std::string> pool = KeyPool(GetParam(), rng);
+  ASSERT_GT(pool.size(), 100u);
+  BTree tree;
+  std::map<std::string, Oid> oracle;
+  NodeHandle nh;
+  auto pick = [&] { return pool[rng.UniformU64(0, pool.size() - 1)]; };
+
+  auto check_scans = [&] {
+    for (int i = 0; i < 40; ++i) {
+      // Bounds are pool keys, possibly absent from the tree, or their
+      // neighbours one byte longer/shorter; hi may be open or below lo.
+      std::string lo = pick();
+      if (rng.Bernoulli(0.2)) lo += '\0';
+      if (rng.Bernoulli(0.2) && !lo.empty()) lo.pop_back();
+      if (rng.Bernoulli(0.1)) lo.clear();
+      std::string hi_key = pick();
+      if (rng.Bernoulli(0.2)) hi_key += '\xff';
+      // An empty hi means open-ended, as in the BTree API.
+      const std::string* hi =
+          rng.Bernoulli(0.2) || hi_key.empty() ? nullptr : &hi_key;
+      const bool reverse = rng.Bernoulli(0.5);
+      const size_t limit = rng.Bernoulli(0.3) ? rng.UniformU64(1, 5) : SIZE_MAX;
+      ASSERT_EQ(ScanAll(tree, lo, hi, reverse, limit),
+                OracleRange(oracle, lo, hi, reverse, limit))
+          << "lo size " << lo.size() << " hi " << (hi ? hi->size() : 999)
+          << " reverse " << reverse << " limit " << limit;
+    }
+  };
+
+  for (int step = 0; step < 12000; ++step) {
+    const std::string key = pick();
+    switch (rng.UniformU64(0, 3)) {
+      case 0:
+      case 1: {
+        const Oid oid = static_cast<Oid>(rng.UniformU64(1, 1u << 30));
+        Oid existing = 0;
+        Status s = tree.Insert(key, oid, &nh, &existing);
+        auto [it, inserted] = oracle.emplace(key, oid);
+        ASSERT_EQ(s.ok(), inserted);
+        if (!inserted) ASSERT_EQ(existing, it->second);
+        break;
+      }
+      case 2: {
+        Oid oid = 0;
+        const bool found = tree.Lookup(key, &oid, &nh);
+        auto it = oracle.find(key);
+        ASSERT_EQ(found, it != oracle.end());
+        if (found) ASSERT_EQ(oid, it->second);
+        break;
+      }
+      default:
+        ASSERT_EQ(tree.Remove(key).ok(), oracle.erase(key) > 0);
+        break;
+    }
+    if (step % 2000 == 1999) check_scans();
+  }
+  // Every pool key, present or not, answers Lookup like the map.
+  for (const std::string& key : pool) {
+    Oid oid = 0;
+    ASSERT_EQ(tree.Lookup(key, &oid, &nh), oracle.count(key) > 0);
+  }
+  ASSERT_EQ(ScanAll(tree, "", nullptr, false, SIZE_MAX),
+            OracleRange(oracle, "", nullptr, false, SIZE_MAX));
+  check_scans();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BTreeKeyShapeTest,
+    ::testing::Values(KeyShape::kAnyLength, KeyShape::kSliceTies,
+                      KeyShape::kPrefixes, KeyShape::kEdgeBytes,
+                      KeyShape::kComposite),
+    [](const ::testing::TestParamInfo<KeyShape>& info) {
+      switch (info.param) {
+        case KeyShape::kAnyLength:
+          return "AnyLength";
+        case KeyShape::kSliceTies:
+          return "SliceTies";
+        case KeyShape::kPrefixes:
+          return "Prefixes";
+        case KeyShape::kEdgeBytes:
+          return "EdgeBytes";
+        case KeyShape::kComposite:
+          return "Composite";
+      }
+      return "?";
+    });
+
+// The ordering rule's corners: keys equal in a zero-padded slice (bytes 0-7,
+// or 8-15 of long keys) order by length class before any later byte is
+// compared.
+TEST(BTreeTest, SliceTiesOrderBytewise) {
+  const std::vector<std::string> ordered = {
+      std::string(""),
+      std::string("\0", 1),
+      std::string("abcdefg"),
+      std::string("abcdefg\0", 8),
+      std::string("abcdefg\0\0", 9),
+      std::string("abcdefg\0\xff", 9),
+      std::string("abcdefg\x01", 8),
+      std::string("abcdefgh"),
+      std::string("abcdefgh\0", 9),
+      std::string("abcdefgh\0\0", 10),
+      std::string("abcdefgh\x01", 9),
+      std::string("abcdefghi"),
+      std::string("abcdefghij"),
+      std::string("abcdefghijklmno"),
+      std::string("abcdefghijklmno\0", 16),
+      std::string("abcdefghijklmno\0\0", 17),
+      std::string("abcdefghijklmnop"),
+      std::string("abcdefghijklmnop\0", 17),
+      std::string("abcdefghijklmnopq"),
+      std::string("abcdefghijklmnoq"),
+      std::string("abcdefgi"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff")};
+  ASSERT_TRUE(std::is_sorted(ordered.begin(), ordered.end()));
+  BTree tree;
+  NodeHandle nh;
+  for (size_t i = ordered.size(); i-- > 0;) {
+    ASSERT_TRUE(tree.Insert(ordered[i], static_cast<Oid>(i + 1), &nh, nullptr).ok());
+  }
+  std::vector<std::string> seen;
+  tree.Scan(
+      Slice(), Slice(),
+      [&](const Slice& k, Oid o) {
+        EXPECT_EQ(o, seen.size() + 1);
+        seen.push_back(k.ToString());
+        return true;
+      },
+      nullptr);
+  EXPECT_EQ(seen, ordered);
 }
 
 }  // namespace

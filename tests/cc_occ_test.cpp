@@ -75,6 +75,27 @@ TEST_F(OccTest, WriterWinsReaderAborts) {
   EXPECT_EQ(Get("y"), "y0");  // reader's write rolled back
 }
 
+// A read that finds no committed version is validated too. Insert() on a key
+// whose entry a racer has inserted but not committed reads the record as
+// absent and then writes it; if the racer commits in between, the write
+// lands on the racer's committed record. Without validating the absent read
+// both transactions would commit an insert of the same key.
+TEST_F(OccTest, AbsentReadThenRacerCommitAbortsWriter) {
+  Transaction racer(db_->get(), CcScheme::kOcc);
+  Oid oid = 0;
+  ASSERT_TRUE(racer.Insert(table_, pk_, "k", "racer", &oid).ok());
+
+  Transaction writer(db_->get(), CcScheme::kOcc);
+  Slice v;
+  EXPECT_TRUE(writer.Read(table_, oid, &v).IsNotFound());  // in flight
+
+  ASSERT_TRUE(racer.Commit().ok());
+  ASSERT_TRUE(writer.Update(table_, oid, "writer").ok());
+  Status c = writer.Commit();
+  EXPECT_TRUE(c.IsAborted()) << c.ToString();
+  EXPECT_EQ(Get("k"), "racer");
+}
+
 // ...and the detection is lazy: the doomed reader does not learn about the
 // conflict until commit (contrast with SiTest.FirstUpdaterWinsImmediately).
 TEST_F(OccTest, ConflictDetectedOnlyAtCommit) {

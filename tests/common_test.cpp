@@ -129,13 +129,28 @@ TEST(RandomTest, BernoulliRate) {
 }
 
 TEST(RandomTest, ZipfSkewsLow) {
-  ZipfianRandom zipf(1000, 0.9, 7);
+  ZipfianRandom zipf(1000, 0.9);
+  FastRandom rng(7);
   std::map<uint64_t, int> counts;
-  for (int i = 0; i < 20000; ++i) counts[zipf.Next()]++;
+  for (int i = 0; i < 20000; ++i) counts[zipf.Next(rng)]++;
   // The most popular key should be far above uniform (20 per key).
   int max_count = 0;
   for (auto& [k, c] : counts) max_count = std::max(max_count, c);
   EXPECT_GT(max_count, 200);
+}
+
+// The key stream follows the caller's seed: the same seed replays it, a
+// different seed gives a different one.
+TEST(RandomTest, ZipfStreamFollowsCallerSeed) {
+  const ZipfianRandom zipf(100000, 0.99);
+  auto stream = [&](uint64_t seed) {
+    FastRandom rng(seed);
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 64; ++i) keys.push_back(zipf.Next(rng));
+    return keys;
+  };
+  EXPECT_EQ(stream(42), stream(42));
+  EXPECT_NE(stream(42), stream(43));
 }
 
 TEST(HistogramTest, BasicStats) {
