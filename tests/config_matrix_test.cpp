@@ -84,6 +84,11 @@ struct EngineVariant {
   uint64_t log_segment_size;
 };
 
+// Without this gtest lists the parameter as a raw byte dump, which holds the
+// `name` pointer and struct padding, so the listed test name changed from one
+// run to the next.
+void PrintTo(const EngineVariant& v, std::ostream* os) { *os << v.name; }
+
 class EngineConfigTest : public ::testing::TestWithParam<EngineVariant> {};
 
 TEST_P(EngineConfigTest, WorkloadPlusRestartCycle) {
