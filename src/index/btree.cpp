@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <new>
+#include <type_traits>
+
+#include "common/huge_pages.h"
 
 namespace ermia {
 
@@ -27,7 +31,8 @@ namespace ermia {
 //   then        leaf: values[32], next        inner: children[33]
 //
 // so a binary search over 32 keys touches the header and the slice lines
-// only. A leaf is 512 B, an inner node 640 B.
+// only. A leaf is 512 B, an inner node 640 B. Nodes and suffix arrays are
+// bump-carved from the tree's 2 MiB huge-page regions (BTree::Carve).
 //
 // version word: even = unlocked, odd = locked. Writers CAS v -> v+1 to lock
 // and store v+2 to unlock, so any modification advances the stable version by
@@ -40,6 +45,14 @@ constexpr size_t kSliceBytes = 8;
 // Bytes of a key past its first two slices. Stored keys are shorter than
 // kMaxKeySize (see btree.h).
 constexpr size_t kRestBytes = kMaxKeySize - 1 - 2 * kSliceBytes;
+
+// Under ASan every carve is followed by a poisoned cache line, so a write
+// past a node's end trips ASan.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr size_t kRedzoneBytes = kCacheLineSize;
+#else
+constexpr size_t kRedzoneBytes = 0;
+#endif
 
 // Orders two keys at one slice position by the slices, then by the length
 // classes min(len, 9). 0 means both keys end here at the same length
@@ -97,7 +110,7 @@ struct BTree::SearchKey {
 
 struct alignas(kCacheLineSize) BTree::Node {
   std::atomic<uint64_t> version{2};
-  // Suffix bytes of the keys longer than 8 bytes. Allocated by the node's
+  // Suffix bytes of the keys longer than 8 bytes. Carved by the node's
   // first long key and published (release) before any lens[i] > 8 is
   // stored; never replaced, and freed only with the tree.
   std::atomic<Suffixes*> suffixes{nullptr};
@@ -150,21 +163,21 @@ struct alignas(kCacheLineSize) BTree::Node {
   }
 
   // The writer-side helpers below run with the node locked (or not yet
-  // published).
-  Suffixes* EnsureSuffixes() {
+  // published). `tree` owns the node and carves its suffix array.
+  Suffixes* EnsureSuffixes(BTree* tree) {
     Suffixes* sfx = suffixes.load(std::memory_order_relaxed);
     if (sfx == nullptr) {
-      sfx = new Suffixes;
+      sfx = new (tree->Carve(sizeof(Suffixes))) Suffixes;
       suffixes.store(sfx, std::memory_order_release);
     }
     return sfx;
   }
 
-  void SetKey(int i, const Slice& key) {
+  void SetKey(int i, const Slice& key, BTree* tree) {
     const size_t len = key.size();
     slices[i] = SliceOf(key.data(), len);
     if (len > kSliceBytes) {
-      Suffixes* sfx = EnsureSuffixes();
+      Suffixes* sfx = EnsureSuffixes(tree);
       sfx->slices[i] = SliceOf(key.data() + kSliceBytes, len - kSliceBytes);
       if (len > 2 * kSliceBytes) {
         std::memcpy(sfx->rest[i], key.data() + 2 * kSliceBytes,
@@ -175,12 +188,12 @@ struct alignas(kCacheLineSize) BTree::Node {
   }
 
   // Copies key i into slot j of dst.
-  void CopyKeyTo(int i, Node* dst, int j) const {
+  void CopyKeyTo(int i, Node* dst, int j, BTree* tree) const {
     const size_t len = lens[i];
     dst->slices[j] = slices[i];
     if (len > kSliceBytes) {
       const Suffixes* sfx = suffixes.load(std::memory_order_relaxed);
-      Suffixes* dsfx = dst->EnsureSuffixes();
+      Suffixes* dsfx = dst->EnsureSuffixes(tree);
       dsfx->slices[j] = sfx->slices[i];
       if (len > 2 * kSliceBytes) {
         std::memcpy(dsfx->rest[j], sfx->rest[i], len - 2 * kSliceBytes);
@@ -263,30 +276,40 @@ BTree::BTree() {
   root_.store(leaf, std::memory_order_release);
 }
 
+// Nodes and suffix arrays are trivially destructible; unmapping the regions
+// frees them all.
 BTree::~BTree() {
-  for (Node* n : all_nodes_) {
-    delete n->suffixes.load(std::memory_order_relaxed);
-    if (n->is_leaf) {
-      delete static_cast<LeafNode*>(n);
-    } else {
-      delete static_cast<InnerNode*>(n);
-    }
+  static_assert(std::is_trivially_destructible_v<InnerNode> &&
+                std::is_trivially_destructible_v<LeafNode> &&
+                std::is_trivially_destructible_v<Suffixes>);
+  for (void* region : regions_) UnmapHugeRegion(region, kHugePageSize);
+}
+
+void* BTree::Carve(size_t bytes) {
+  bytes = (bytes + kCacheLineSize - 1) & ~(kCacheLineSize - 1);
+  SpinLatchGuard g(nodes_latch_);
+  if (static_cast<size_t>(carve_end_ - carve_pos_) < bytes + kRedzoneBytes) {
+    // The old region's remainder is abandoned (and stays poisoned).
+    carve_pos_ = static_cast<char*>(MapHugeRegion(kHugePageSize));
+    carve_end_ = carve_pos_ + kHugePageSize;
+    ASAN_POISON_MEMORY_REGION(carve_pos_, kHugePageSize);
+    regions_.push_back(carve_pos_);
   }
+  void* p = carve_pos_;
+  carve_pos_ += bytes + kRedzoneBytes;
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+  return p;
 }
 
 BTree::Node* BTree::AllocInner() {
-  auto* n = new InnerNode();
+  auto* n = new (Carve(sizeof(InnerNode))) InnerNode();
   n->is_leaf = false;
-  SpinLatchGuard g(nodes_latch_);
-  all_nodes_.push_back(n);
   return n;
 }
 
 BTree::Node* BTree::AllocLeaf() {
-  auto* n = new LeafNode();
+  auto* n = new (Carve(sizeof(LeafNode))) LeafNode();
   n->is_leaf = true;
-  SpinLatchGuard g(nodes_latch_);
-  all_nodes_.push_back(n);
   return n;
 }
 
@@ -309,7 +332,7 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child,
     auto* leaf = static_cast<LeafNode*>(child);
     auto* sib = static_cast<LeafNode*>(AllocLeaf());
     for (int i = mid; i < kFanout; ++i) {
-      leaf->CopyKeyTo(i, sib, i - mid);
+      leaf->CopyKeyTo(i, sib, i - mid, this);
       sib->values[i - mid].store(leaf->values[i].load(std::memory_order_relaxed),
                                  std::memory_order_relaxed);
     }
@@ -318,15 +341,15 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child,
     sib->next.store(leaf->next.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     leaf->next.store(sib, std::memory_order_release);
-    sib->CopyKeyTo(0, parent, child_idx);  // separator: sibling's first key
+    sib->CopyKeyTo(0, parent, child_idx, this);  // separator: sibling's first key
     sibling = sib;
   } else {
     auto* inner = static_cast<InnerNode*>(child);
     auto* sib = static_cast<InnerNode*>(AllocInner());
     // Middle key moves up; upper keys/children move to the sibling.
-    inner->CopyKeyTo(mid, parent, child_idx);
+    inner->CopyKeyTo(mid, parent, child_idx, this);
     for (int i = mid + 1; i < kFanout; ++i) {
-      inner->CopyKeyTo(i, sib, i - mid - 1);
+      inner->CopyKeyTo(i, sib, i - mid - 1, this);
     }
     for (int i = mid + 1; i <= kFanout; ++i) {
       sib->children[i - mid - 1].store(
@@ -445,7 +468,7 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
       leaf->values[i].store(leaf->values[i - 1].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
     }
-    leaf->SetKey(pos, key);
+    leaf->SetKey(pos, key, this);
     leaf->values[pos].store(oid, std::memory_order_relaxed);
     leaf->count++;
     Unlock(node);

@@ -17,8 +17,9 @@
 //    for successor cursors).
 //  * The key Slice a scan callback receives is valid only during that call.
 //  * Remove() deletes leaf entries in place without merging underfull nodes;
-//    interior nodes are never freed until the tree is destroyed, so readers
-//    need no hazard pointers.
+//    no node is freed until the tree is destroyed, so readers need no hazard
+//    pointers. Nodes live in per-tree 2 MiB huge-page regions that the
+//    destructor unmaps.
 #ifndef ERMIA_INDEX_BTREE_H_
 #define ERMIA_INDEX_BTREE_H_
 
@@ -103,6 +104,9 @@ class BTree {
   void SplitRoot();
   Node* AllocInner();
   Node* AllocLeaf();
+  // Bump-carves `bytes` (rounded up to a cache line) from the tree's
+  // regions; zero-filled and cache-line aligned.
+  void* Carve(size_t bytes);
 
   // Split count (all splits funnel through SplitChild) and optimistic-read
   // restarts (version validation failed; reader re-descended).
@@ -112,10 +116,12 @@ class BTree {
   std::atomic<Node*> root_;
   // Guards root replacement; splits elsewhere use per-node locks only.
   mutable SpinLatch root_latch_;
-  // All nodes ever allocated, for destruction (nodes are never freed during
-  // operation; see file comment).
-  mutable SpinLatch nodes_latch_;
-  std::vector<Node*> all_nodes_;
+  // Guards carving. regions_ holds every region mapped, for the destructor;
+  // [carve_pos_, carve_end_) is the current region's uncarved rest.
+  SpinLatch nodes_latch_;
+  std::vector<void*> regions_;
+  char* carve_pos_ = nullptr;
+  char* carve_end_ = nullptr;
 };
 
 }  // namespace ermia

@@ -1,9 +1,14 @@
 #include "storage/indirection_array.h"
 
-#include <cstdlib>
-#include <cstring>
+#include "common/huge_pages.h"
 
 namespace ermia {
+
+namespace {
+constexpr size_t kChunkBytes =
+    IndirectionArray::kChunkSize * sizeof(std::atomic<Version*>);
+static_assert(kChunkBytes == kHugePageSize);
+}  // namespace
 
 IndirectionArray::IndirectionArray() {
   for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
@@ -21,7 +26,7 @@ IndirectionArray::~IndirectionArray() {
         v = next;
       }
     }
-    std::free(chunk);
+    UnmapHugeRegion(chunk, kChunkBytes);
   }
 }
 
@@ -55,13 +60,12 @@ const std::atomic<Version*>* IndirectionArray::SlotIfExists(Oid oid) const {
 
 std::atomic<Version*>* IndirectionArray::EnsureChunk(uint32_t chunk_idx) {
   ERMIA_CHECK(chunk_idx < kMaxChunks);
-  auto* fresh = static_cast<std::atomic<Version*>*>(
-      std::calloc(kChunkSize, sizeof(std::atomic<Version*>)));
-  ERMIA_CHECK(fresh != nullptr);
+  auto* fresh =
+      static_cast<std::atomic<Version*>*>(MapHugeRegion(kChunkBytes));
   std::atomic<Version*>* expected = nullptr;
   if (!chunks_[chunk_idx].compare_exchange_strong(expected, fresh,
                                                   std::memory_order_acq_rel)) {
-    std::free(fresh);
+    UnmapHugeRegion(fresh, kChunkBytes);
     return expected;  // another thread published the chunk first
   }
   return fresh;

@@ -59,10 +59,12 @@ class IndirectionArray {
   // Recovery: make sure `oid` is addressable and bump the allocator past it.
   void EnsureAllocatedThrough(Oid oid);
 
- private:
-  static constexpr uint32_t kChunkBits = 16;  // 64K slots per chunk
+  // Slots per chunk: one 2 MiB huge-page region (common/huge_pages.h).
+  static constexpr uint32_t kChunkBits = 18;
   static constexpr uint32_t kChunkSize = 1u << kChunkBits;
-  static constexpr uint32_t kMaxChunks = 4096;  // 256M OIDs
+  static constexpr uint32_t kMaxChunks = 1024;  // 256M OIDs
+
+ private:
 
   const std::atomic<Version*>* SlotIfExists(Oid oid) const;
   std::atomic<Version*>* EnsureChunk(uint32_t chunk_idx);

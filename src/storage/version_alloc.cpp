@@ -270,14 +270,9 @@ bool VersionAllocator::SpliceFromTransfer(ThreadCache* c, uint8_t cls) {
 void* VersionAllocator::CarveFromSlab(ThreadCache* c, uint8_t cls) {
   const size_t csize = ClassBytes(cls);
   if (static_cast<size_t>(c->slab_end - c->slab_pos) < csize) {
-    // The chunk remainder (< one max-class block) is abandoned; chunks stay
-    // reachable from chunks_ for the process lifetime.
-    char* chunk = static_cast<char*>(std::malloc(kChunkBytes));
-    ERMIA_CHECK(chunk != nullptr);
-    {
-      SpinLatchGuard g(caches_latch_);
-      chunks_.push_back(chunk);
-    }
+    // The chunk remainder (< one max-class block) is abandoned; chunks are
+    // never unmapped.
+    char* chunk = static_cast<char*>(MapHugeRegion(kChunkBytes));
     slab_bytes_.fetch_add(kChunkBytes, std::memory_order_relaxed);
     c->slab_pos = chunk;
     c->slab_end = chunk + kChunkBytes;

@@ -36,8 +36,8 @@
 //
 // The allocator is a process-wide singleton (versions can outlive a Database
 // across tests in one process; blocks are recycled by provenance). Slab
-// chunks are never returned to the OS — they are reachable from the instance
-// for leak checkers and reused for the process lifetime.
+// chunks are never returned to the OS; their blocks are reused for the
+// process lifetime.
 #ifndef ERMIA_STORAGE_VERSION_ALLOC_H_
 #define ERMIA_STORAGE_VERSION_ALLOC_H_
 
@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/macros.h"
 #include "common/spin_latch.h"
 #include "common/sysconf.h"  // VersionAllocMode
@@ -62,7 +63,7 @@ class VersionAllocator {
   static constexpr size_t kNumClasses = 27;
   // Largest slab-served block (sizeof(Version) + payload).
   static constexpr size_t kMaxBlockBytes = 8192;
-  static constexpr size_t kChunkBytes = 256 * 1024;
+  static constexpr size_t kChunkBytes = kHugePageSize;  // one slab chunk
   // Blocks per transfer-cache batch (intrusively linked; the batch head
   // doubles as the Treiber node payload).
   static constexpr uint32_t kTransferBatch = 32;
@@ -167,11 +168,10 @@ class VersionAllocator {
   mutable SpinLatch epoch_latch_;
   EpochSlot epoch_slots_[kMaxEpochSlots];
 
-  // Thread-cache registry, retired-thread limbo, chunk ownership, and stats
-  // folded from exited threads — all cold-path, one latch.
+  // Thread-cache registry, retired-thread limbo, and stats folded from
+  // exited threads — all cold-path, one latch.
   mutable SpinLatch caches_latch_;
   ThreadCache* caches_head_ = nullptr;
-  std::vector<void*> chunks_;
   struct OrphanEntry;
   std::vector<OrphanEntry>* orphans_;
   std::atomic<uint64_t> orphan_count_{0};

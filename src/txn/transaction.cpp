@@ -34,8 +34,8 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
       index_inserts_(res_->index_inserts),
       held_locks_(res_->held_locks),
       scratch_versions_(res_->scratch_versions),
-      staging_(res_->staging),
-      read_opt_set_(res_->read_opt_set) {
+      read_opt_set_(res_->read_opt_set),
+      staging_(res_->staging) {
   db_->metrics().Inc(res_pool_hit_ ? metrics::Ctr::kTxnResPoolHits
                                    : metrics::Ctr::kTxnResPoolMisses);
   // Overload governor: writers take an admission slot BEFORE entering the

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/sysconf.h"
 #include "storage/gc.h"
 #include "storage/indirection_array.h"
@@ -67,15 +68,48 @@ TEST(IndirectionArrayTest, PutCasHead) {
 }
 
 TEST(IndirectionArrayTest, GrowsAcrossChunks) {
+  constexpr Oid kChunk = IndirectionArray::kChunkSize;
   IndirectionArray array;
-  const Oid big = 3 * 65536 + 17;  // forces multiple chunks
+  const Oid big = 3 * kChunk + 17;  // in the fourth chunk
   array.EnsureAllocatedThrough(big);
   EXPECT_EQ(array.HighWaterMark(), big + 1);
-  Version* v = Version::Alloc("x");
-  array.PutHead(big, v);
-  EXPECT_EQ(array.Head(big), v);
+  // The last slot of chunk 0 and the first of chunk 1 hold distinct heads.
+  for (Oid oid : {kChunk - 1, kChunk, big}) {
+    Version* v = Version::Alloc("x");
+    array.PutHead(oid, v);
+    EXPECT_EQ(array.Head(oid), v);
+  }
+  EXPECT_EQ(array.Slot(kChunk - 2) + 1, array.Slot(kChunk - 1));
+  EXPECT_EQ(array.Slot(kChunk) + 1, array.Slot(kChunk + 1));
+  EXPECT_EQ(array.Head(kChunk - 2), nullptr);
+  EXPECT_EQ(array.Head(kChunk + 1), nullptr);
   EXPECT_EQ(array.Head(big + 1), nullptr);
   EXPECT_GT(array.Allocate(), big);
+}
+
+// Two threads publish the same fresh chunk at once. The loser of the
+// publishing CAS must unmap its region: only one chunk stays mapped, and the
+// ASan job checks the loser's unmap.
+TEST(IndirectionArrayTest, ChunkPublishRaceUnmapsLoser) {
+  constexpr Oid kChunk = IndirectionArray::kChunkSize;
+  const size_t before = huge_region_bytes.load();
+  for (int round = 0; round < 50; ++round) {
+    IndirectionArray array;
+    std::atomic<int> ready{0};
+    std::atomic<Version*>* slots[2];
+    auto touch = [&](int t) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      slots[t] = array.Slot(kChunk + t);
+    };
+    std::thread a(touch, 0), b(touch, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(slots[0] + 1, slots[1]);  // both threads see the winner's chunk
+    EXPECT_EQ(huge_region_bytes.load(), before + kHugePageSize);
+  }
+  EXPECT_EQ(huge_region_bytes.load(), before);
 }
 
 TEST(IndirectionArrayTest, FreeListReusesOids) {
