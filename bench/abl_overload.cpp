@@ -265,8 +265,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)db->watchdog()->trips());
   }
 
-  std::printf("\nnote: 'on' = governor_enabled (ERMIA_OVERLOAD=on); the "
-              "stall timeline needs log_degraded_modes (ERMIA_LOG_STALL, "
-              "default on)\n");
+  std::printf("\nnote: 'on' = governor_enabled\n");
   return 0;
 }

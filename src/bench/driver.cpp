@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -143,18 +144,39 @@ double EnvSeconds(double def) {
   return v != nullptr ? std::atof(v) : def;
 }
 
+Status ParseThreadList(const std::string& text, std::vector<uint32_t>* out) {
+  out->clear();
+  size_t pos = 0;
+  for (;;) {
+    const size_t comma = std::min(text.find(',', pos), text.size());
+    const std::string entry = text.substr(pos, comma - pos);
+    // Six digits bound stoul's input; anything longer is out of range.
+    const bool digits =
+        !entry.empty() && entry.size() <= 6 &&
+        entry.find_first_not_of("0123456789") == std::string::npos;
+    const unsigned long n = digits ? std::stoul(entry) : 0;
+    if (n < 1 || n > kMaxThreads) {
+      return Status::InvalidArgument(
+          "thread count '" + entry + "' is not a number in [1, " +
+          std::to_string(kMaxThreads) + "]");
+    }
+    out->push_back(static_cast<uint32_t>(n));
+    if (comma == text.size()) return Status::OK();
+    pos = comma + 1;
+  }
+}
+
 std::vector<uint32_t> EnvThreads(const std::vector<uint32_t>& def) {
   const char* v = std::getenv("ERMIA_BENCH_THREADS");
   if (v == nullptr) return def;
   std::vector<uint32_t> out;
-  const char* p = v;
-  while (*p != '\0') {
-    out.push_back(static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-    const char* comma = std::strchr(p, ',');
-    if (comma == nullptr) break;
-    p = comma + 1;
+  const Status s = ParseThreadList(v, &out);
+  if (!s.ok()) {
+    std::fprintf(stderr, "ERMIA_BENCH_THREADS=\"%s\": %s\n", v,
+                 s.ToString().c_str());
+    std::exit(2);
   }
-  return out.empty() ? def : out;
+  return out;
 }
 
 uint32_t EnvScale(uint32_t def) {

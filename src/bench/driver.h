@@ -58,8 +58,12 @@ BenchResult RunBench(Database* db, Workload* workload,
 // ERMIA_BENCH_SECONDS (default `def`): run duration per data point.
 double EnvSeconds(double def);
 // ERMIA_BENCH_THREADS ("1,2,4"): thread counts for scalability sweeps; the
-// default list is derived from the hardware.
+// default list is derived from the hardware. An invalid list (see
+// ParseThreadList) prints the reason and exits with status 2.
 std::vector<uint32_t> EnvThreads(const std::vector<uint32_t>& def);
+// Parses a comma-separated list of thread counts. Every entry must be a
+// decimal number in [1, kMaxThreads].
+Status ParseThreadList(const std::string& text, std::vector<uint32_t>* out);
 // ERMIA_BENCH_SCALE (default `def`): scale factor (e.g., TPC-C warehouses).
 uint32_t EnvScale(uint32_t def);
 // ERMIA_BENCH_DENSITY (default `def` in (0,1]): table-population density so

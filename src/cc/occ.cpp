@@ -48,7 +48,6 @@ Status Transaction::OccRead(Table* table, Oid oid, Slice* value) {
     read_set_.push_back({nullptr, slot});
     return Status::NotFound();
   }
-  if (ERMIA_UNLIKELY(v->stub)) v = MaterializeStub(table, oid, v);
   read_set_.push_back({v, slot});
   if (v->tombstone) return Status::NotFound();
   *value = v->value();

@@ -55,7 +55,6 @@ Version* Transaction::SiVisibleVersion(Table* table, Oid oid) {
 Status Transaction::SiRead(Table* table, Oid oid, Slice* value) {
   Version* v = SiVisibleVersion(table, oid);
   if (v == nullptr) return Status::NotFound();
-  if (ERMIA_UNLIKELY(v->stub)) v = MaterializeStub(table, oid, v);
   const uint64_t clsn = v->clsn.load(std::memory_order_acquire);
   const bool own = IsTidStamp(clsn) && TidFromStamp(clsn) == tid_;
   if (scheme_ == CcScheme::kSiSsn && !own && !ssn_safesnap_) {

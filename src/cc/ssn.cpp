@@ -24,7 +24,6 @@
 //      of any peer ordered before T is visible to T's finalization.
 //   3. Waits only ever target peers with strictly smaller cstamps, so the
 //      waits-for relation is acyclic and the protocol is deadlock-free.
-#include "common/spin_latch.h"
 #include "engine/database.h"
 #include "trace/trace.h"
 #include "txn/transaction.h"
@@ -46,12 +45,6 @@ void AtomicMin(std::atomic<uint64_t>& target, uint64_t value) {
                             cur, value, std::memory_order_acq_rel)) {
   }
 }
-
-// Pre-parallel baseline, kept for one release behind
-// EngineConfig::ssn_parallel_commit = false so abl_ssn_commit can measure the
-// win. Correct by latch arrival order: the later arriver always sees the
-// earlier one's published stamps.
-SpinLatch g_ssn_legacy_serial_latch;
 
 }  // namespace
 
@@ -364,46 +357,11 @@ Status Transaction::SsnCommit() {
     // Certification (stamp finalization + exclusion test + publication) is
     // the CC component of the Fig. 11 cycle breakdown.
     ERMIA_PROF_CC();
-    if (db_->config().ssn_parallel_commit) {
-      const uint64_t sstamp = SsnFinalizeSstamp(cstamp);
-      const uint64_t pstamp = SsnFinalizePstamp(cstamp);
-      pass = sstamp > pstamp;  // exclusion window: π(T) <= η(T) forbidden
-      if (pass) SsnPublishStamps(cstamp, pstamp, sstamp);
-      final_sstamp = sstamp;
-    } else {
-      // Legacy serial finalization: test + publication under one global
-      // latch, correct by arrival order (the later arriver sees the earlier
-      // one's published stamps; in-flight TID commit words are skipped
-      // because their owners have not published yet and will see ours when
-      // they do).
-      SpinLatchGuard g(g_ssn_legacy_serial_latch);
-      uint64_t pstamp = ctx_->pstamp.load(std::memory_order_relaxed);
-      for (const auto& w : write_set_) {
-        if (w.prev != nullptr) {
-          pstamp =
-              std::max(pstamp, w.prev->pstamp.load(std::memory_order_acquire));
-        }
-      }
-      uint64_t sstamp =
-          std::min(ctx_->sstamp.load(std::memory_order_relaxed), cstamp);
-      for (const auto& r : read_set_) {
-        const uint64_t vs = r.version->sstamp.load(std::memory_order_acquire);
-        if (vs != kInfinityStamp && !IsTidStamp(vs)) {
-          sstamp = std::min(sstamp, vs);
-        }
-      }
-      // Read-opt-exempt reads carry no bitmap bit; under the latch the
-      // arrival order serializes us against their overwriters the same way.
-      for (Version* v : read_opt_set_) {
-        const uint64_t vs = v->sstamp.load(std::memory_order_acquire);
-        if (vs != kInfinityStamp && !IsTidStamp(vs)) {
-          sstamp = std::min(sstamp, vs);
-        }
-      }
-      pass = sstamp > pstamp;
-      if (pass) SsnPublishStamps(cstamp, pstamp, sstamp);
-      final_sstamp = sstamp;
-    }
+    const uint64_t sstamp = SsnFinalizeSstamp(cstamp);
+    const uint64_t pstamp = SsnFinalizePstamp(cstamp);
+    pass = sstamp > pstamp;  // exclusion window: π(T) <= η(T) forbidden
+    if (pass) SsnPublishStamps(cstamp, pstamp, sstamp);
+    final_sstamp = sstamp;
   }
   if (ERMIA_UNLIKELY(traced_)) {
     trace::Emit(trace::Event::kCertifyEnd, tid_, pass ? 1 : 0, 0);

@@ -65,7 +65,6 @@ Status Transaction::TplRead(Table* table, Oid oid, Slice* value) {
     v = OccLatestCommitted(table->array().Head(oid));
   }
   if (v == nullptr || v->tombstone) return Status::NotFound();
-  if (ERMIA_UNLIKELY(v->stub)) v = MaterializeStub(table, oid, v);
   *value = v->value();
   return Status::OK();
 }

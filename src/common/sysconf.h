@@ -67,13 +67,6 @@ struct EngineConfig {
   // recovery is unsupported in this mode.
   bool log_per_operation = false;
 
-  // SSN commit protocol. Latch-free parallel certification (the paper's
-  // Algorithm 1 with per-version stamp publication) is the default; the
-  // pre-parallel variant that serializes the exclusion-window test and stamp
-  // publication under one global spin latch is kept for one release behind
-  // this flag so the ablation bench can measure the difference.
-  bool ssn_parallel_commit = true;
-
   // SSN read-mostly optimizations (cc/safe_snapshot.h). The engine always
   // maintains a lagging safe-snapshot LSN: the highest offset below which
   // every transaction has fully post-committed and published its stamps, and
@@ -113,13 +106,6 @@ struct EngineConfig {
   // the hardware concurrency; 1 = the legacy single-threaded path, kept for
   // differential testing (the crash harness proves parallel ≡ serial state).
   uint32_t recovery_threads = 0;
-
-  // Anti-caching-style lazy recovery (paper §3.7 future work): restore only
-  // OID -> durable-address stubs from the checkpoint and fault payloads in
-  // from the log on first access. Trades first-access latency for near-
-  // instant restart. Note: SSN stamp history on stub versions restarts
-  // empty, so serializability guarantees are strongest with eager recovery.
-  bool lazy_recovery = false;
 
   // Periodic fuzzy checkpoints (paper §3.7: "OID arrays are periodically
   // copied"). 0 disables the daemon; checkpoints can still be taken
@@ -172,12 +158,7 @@ struct EngineConfig {
   // write transactions are rejected with Status::LogUnavailable (reads keep
   // running); any other write error or a failed fdatasync poisons the log:
   // a sticky read-only mode that never acknowledges durability past the last
-  // known-good offset. When false, the legacy fail-stop ERMIA_CHECK crash is
-  // preserved. The ERMIA_LOG_STALL environment variable ("on" | "off")
-  // overrides this at Database construction.
-  bool log_degraded_modes = true;
-
-  // Stalled-flusher retry pacing: exponential backoff between flush retries,
+  // known-good offset. A stalled flusher retries with exponential backoff
   // from initial to max.
   uint64_t log_stall_retry_initial_ms = 10;
   uint64_t log_stall_retry_max_ms = 1000;
@@ -185,9 +166,7 @@ struct EngineConfig {
   // Abort-storm governor (engine/governor.h): AIMD admission gate that sheds
   // concurrent writers when the measured abort rate crosses the high
   // watermark and re-grows the limit when it falls below the low one.
-  // Off by default (it trades peak throughput for goodput under contention);
-  // the ERMIA_OVERLOAD environment variable ("on" | "off") overrides it at
-  // Database construction.
+  // Off by default (it trades peak throughput for goodput under contention).
   bool governor_enabled = false;
   uint32_t governor_high_permille = 650;  // shrink limit above this rate
   uint32_t governor_low_permille = 300;   // grow limit below this rate

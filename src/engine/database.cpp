@@ -62,43 +62,10 @@ void ResolveSsnReadOpt(EngineConfig* config) {
     config->ssn_read_opt = true;
   }
 }
-
-// ERMIA_LOG_STALL=on|off overrides log_degraded_modes (fault-injection CI
-// flips between the stall protocol and legacy fail-stop without rebuilding).
-void ResolveLogStall(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_LOG_STALL");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    config->log_degraded_modes = false;
-  } else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-    config->log_degraded_modes = true;
-  }
-}
-
-// ERMIA_OVERLOAD=on|off overrides governor_enabled (the overload ablation
-// sweeps goodput with the governor on and off per run).
-void ResolveOverload(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_OVERLOAD");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    config->governor_enabled = false;
-  } else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-    config->governor_enabled = true;
-  }
-}
-
-// Overrides that must land before the member-init list runs: LogManager
-// copies the config at construction, so log-affecting knobs resolved in the
-// constructor body would never reach it.
-EngineConfig ResolveEarlyEnv(EngineConfig config) {
-  ResolveLogStall(&config);
-  ResolveOverload(&config);
-  return config;
-}
 }  // namespace
 
 Database::Database(EngineConfig config)
-    : config_(ResolveEarlyEnv(std::move(config))), log_(config_, &metrics_) {
+    : config_(std::move(config)), log_(config_, &metrics_) {
   config_.version_allocator = ResolveVersionAllocMode(config_.version_allocator);
   ResolveTraceMode(&config_);
   ResolveSsnReadOpt(&config_);
@@ -118,7 +85,17 @@ Database::Database(EngineConfig config)
   gc_ = std::make_unique<GarbageCollector>(
       &gc_epoch_,
       [this] {
-        uint64_t oldest = tids_.OldestActiveBegin(log_.CurrentOffset());
+        // Publish the bound before the scan (an RMW even when the bound does
+        // not move, then a seq_cst fence): a transaction registering
+        // concurrently is either seen by the scan or sees the bound
+        // (Transaction's constructor pairs with this).
+        const uint64_t tail = log_.CurrentOffset();
+        uint64_t bound = gc_trim_bound_.load(std::memory_order_relaxed);
+        while (!gc_trim_bound_.compare_exchange_weak(bound,
+                                                     std::max(bound, tail))) {
+        }
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        uint64_t oldest = tids_.OldestActiveBegin(tail);
         if (config_.ssn_safe_snapshot) {
           // Safe-snapshot readers adopt the published offset as their begin;
           // pin the trim horizon to the previous tick's value so a reader

@@ -144,6 +144,15 @@ class Database {
     occ_snapshot_.store(log_.CurrentOffset(), std::memory_order_release);
   }
 
+  // Upper bound of every GC trim boundary computed so far, published before
+  // the GC scans the TID table. A transaction whose begin offset was not
+  // taken from the log tail (OCC read-only snapshots) may begin below what
+  // the GC has already trimmed; it reads at this bound instead (see the
+  // Transaction constructor).
+  uint64_t gc_trim_bound() const {
+    return gc_trim_bound_.load(std::memory_order_seq_cst);
+  }
+
   // Safe-snapshot LSN maintenance for the SSN read-mostly optimizations
   // (cc/safe_snapshot.h). Always maintained by the snapshot daemon — the
   // gauge and tests don't depend on the feature flags — and consumed when
@@ -211,6 +220,7 @@ class Database {
   std::thread checkpoint_daemon_;
   std::atomic<bool> stop_daemons_{true};
   std::atomic<uint64_t> occ_snapshot_{kLogStartOffset};
+  std::atomic<uint64_t> gc_trim_bound_{0};
   std::atomic<uint64_t> checkpoints_taken_{0};
   bool open_ = false;
   // True if this Database enabled the (process-global) flight recorder in

@@ -25,7 +25,7 @@
 // checksum-verified before anything is dispatched, and the checkpoint phase
 // completes (workers joined) before tail replay starts, so the serial
 // ordering invariants — checkpoint before tail, per-chain LSN order,
-// tombstone reinstall, lazy stubs — all carry over. recovery_threads=1 keeps
+// tombstone reinstall — all carry over. recovery_threads=1 keeps
 // the legacy single-threaded path; the crash harness's differential sweep
 // asserts parallel ≡ serial state.
 //
@@ -234,23 +234,6 @@ void InstallRecovered(Table* table, Oid oid, const Slice& payload,
   Version* v = Version::Alloc(payload, tombstone);
   v->clsn.store(clsn_value, std::memory_order_relaxed);
   v->log_ptr = log_ptr;
-  v->next.store(head, std::memory_order_relaxed);
-  array.PutHead(oid, v);
-}
-
-// Lazy-recovery variant (anti-caching, §3.7): install a payload-less stub
-// referencing the durable address; first access faults the bytes in.
-void InstallRecoveredStub(Table* table, Oid oid, uint32_t size,
-                          uint64_t clsn_value, uint64_t log_ptr) {
-  IndirectionArray& array = table->array();
-  array.EnsureAllocatedThrough(oid);
-  Version* head = array.Head(oid);
-  if (head != nullptr &&
-      head->clsn.load(std::memory_order_relaxed) >= clsn_value) {
-    return;
-  }
-  Version* v = Version::AllocStub(log_ptr, size);
-  v->clsn.store(clsn_value, std::memory_order_relaxed);
   v->next.store(head, std::memory_order_relaxed);
   array.PutHead(oid, v);
 }
@@ -488,12 +471,10 @@ Status Database::ApplyCheckpointImage(const void* image_ptr,
                                       const CheckpointImage::Entry& e,
                                       std::vector<char>& payload) -> Status {
     if (e.tombstone) {
-      // No payload to fetch or stub: install the tombstone directly. The
+      // No payload to fetch: install the tombstone directly. The
       // index entry below keeps the key→OID mapping alive for replayed
       // tombstone-overwrite updates.
       InstallRecovered(table, e.oid, Slice(), true, e.clsn, e.log_ptr);
-    } else if (config_.lazy_recovery) {
-      InstallRecoveredStub(table, e.oid, e.size, e.clsn, e.log_ptr);
     } else {
       payload.resize(e.size);
       ERMIA_RETURN_NOT_OK(scanner.ReadAt(e.log_ptr, payload.data(), e.size));
@@ -569,10 +550,7 @@ Status Database::RecoverImpl() {
                  path.c_str(), s.ToString().c_str());
   }
 
-  // Roll forward from the checkpoint (or the log start). Under lazy
-  // recovery the tail installs stubs too: the payload bytes are durable at
-  // a known address, so materialization on first access works for
-  // tail-replayed records exactly as for checkpointed ones.
+  // Roll forward from the checkpoint (or the log start).
   if (workers <= 1) {
     // Legacy serial path, kept bit-for-bit for differential testing.
     Status scan_status =
@@ -589,14 +567,8 @@ Status Database::RecoverImpl() {
               case LogRecordType::kUpdate: {
                 Table* table = TableByFid(rec.fid);
                 if (table == nullptr) break;  // unknown fid: schema drift
-                if (config_.lazy_recovery) {
-                  InstallRecoveredStub(table, rec.oid,
-                                       static_cast<uint32_t>(rec.payload.size()),
-                                       clsn_value, rec.payload_offset);
-                } else {
-                  InstallRecovered(table, rec.oid, Slice(rec.payload), false,
-                                   clsn_value, rec.payload_offset);
-                }
+                InstallRecovered(table, rec.oid, Slice(rec.payload), false,
+                                 clsn_value, rec.payload_offset);
                 break;
               }
               case LogRecordType::kDelete: {
@@ -628,14 +600,9 @@ Status Database::RecoverImpl() {
     switch (op.type) {
       case LogRecordType::kInsert:
       case LogRecordType::kUpdate:
-        if (config_.lazy_recovery) {
-          InstallRecoveredStub(op.table, op.oid, op.payload_size, op.clsn,
-                               op.payload_offset);
-        } else {
-          InstallRecovered(op.table, op.oid,
-                           Slice(base + op.payload_off, op.payload_size),
-                           false, op.clsn, op.payload_offset);
-        }
+        InstallRecovered(op.table, op.oid,
+                         Slice(base + op.payload_off, op.payload_size), false,
+                         op.clsn, op.payload_offset);
         break;
       case LogRecordType::kDelete:
         InstallRecovered(op.table, op.oid, Slice(), true, op.clsn, 0);

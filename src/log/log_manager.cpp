@@ -413,15 +413,13 @@ void LogManager::FlushOnce() {
       buf.resize(n);
       ring_.Read(r.begin, buf.data(), n);
       // The range was completed, so committers may already be waiting on it.
-      // Two answers cannot acknowledge a commit whose bytes never landed:
-      // panicking (legacy fail-stop, log_degraded_modes=false) or refusing
-      // to advance durable_offset_ while degrading (stall on out-of-space,
-      // which is transient; poison on anything else).
+      // Refuse to advance durable_offset_ so no commit is acknowledged whose
+      // bytes never landed, and degrade: stall on out-of-space, which is
+      // transient; poison on anything else.
       if (ERMIA_UNLIKELY(!fault::PwriteAll(
               seg->fd, buf.data(), n,
               static_cast<off_t>(seg->FileOffset(r.begin))))) {
         const int err = errno;
-        ERMIA_CHECK(config_.log_degraded_modes);
         if (err == ENOSPC || err == EDQUOT) {
           EnterStall(err);
         } else {
@@ -437,11 +435,10 @@ void LogManager::FlushOnce() {
     // fsync failure is never survivable as a retry (fsync-gate semantics):
     // after a failed fdatasync the page cache state is unknowable, so
     // advancing durable_offset_ — and thereby acking commits — would be a
-    // lie, now or on any later attempt. Poison (or panic in legacy mode).
+    // lie, now or on any later attempt. Poison.
     for (LogSegment* seg : touched) {
       if (ERMIA_UNLIKELY(fault::Fdatasync(seg->fd) != 0)) {
         const int err = errno;
-        ERMIA_CHECK(config_.log_degraded_modes);
         Poison(err);
         return;
       }
@@ -554,45 +551,6 @@ void LogManager::DiscardCompleted() {
     }
     durable_cv_.notify_all();
   }
-}
-
-Status LogManager::ReadDurable(uint64_t offset, void* dst,
-                               uint32_t size) const {
-  if (in_memory()) return Status::NotSupported("in-memory log");
-  std::lock_guard<std::mutex> g(segment_mu_);
-  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
-    const LogSegment* seg = it->get();
-    if (offset >= seg->start_offset && offset + size <= seg->end_offset) {
-      bool hard_error = false;
-      errno = 0;
-      const size_t got =
-          fault::PreadFull(seg->fd, dst, size,
-                           static_cast<off_t>(seg->FileOffset(offset)),
-                           &hard_error);
-      if (got != size) {
-        // PreadFull already retried EINTR and partial reads, so a shortfall
-        // is either a hard device error (errno tells which) or a true EOF —
-        // the segment file is shorter than the offset math says it should
-        // be. Distinguish them in the message: the first means failing
-        // media, the second means a truncated or torn segment.
-        if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kLogReadErrors);
-        if (hard_error) {
-          return Status::IOError(
-              "log read failed at offset " + std::to_string(offset) + " (" +
-              std::strerror(errno) + "), got " + std::to_string(got) + "/" +
-              std::to_string(size) + " bytes from " + seg->path);
-        }
-        return Status::IOError(
-            "short log read at offset " + std::to_string(offset) +
-            ": EOF after " + std::to_string(got) + "/" +
-            std::to_string(size) + " bytes in " + seg->path +
-            " (transient EINTR/short reads were already retried; the "
-            "segment file is truncated)");
-      }
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("offset not mapped by any segment");
 }
 
 std::vector<LogSegment> LogManager::Segments() const {

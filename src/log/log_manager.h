@@ -153,10 +153,6 @@ class LogManager {
     return released_offset_.load(std::memory_order_acquire);
   }
 
-  // Reads `size` bytes at logical offset from the durable log (recovery and
-  // checkpoint verification). Fails in in-memory mode or on dead zones.
-  Status ReadDurable(uint64_t offset, void* dst, uint32_t size) const;
-
   // Ordered list of segments created so far (diagnostics/tests/recovery).
   std::vector<LogSegment> Segments() const;
 

@@ -131,8 +131,6 @@ const char* CtrName(Ctr c) {
       return "log_stall_resumes";
     case Ctr::kLogPoisonEvents:
       return "log_poison_events";
-    case Ctr::kLogReadErrors:
-      return "log_read_errors";
     case Ctr::kLogWriterRejects:
       return "log_writer_rejects";
     case Ctr::kGovAdmissionWaits:

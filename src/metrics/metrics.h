@@ -114,7 +114,6 @@ enum class Ctr : uint32_t {
   kLogStallRetries,        // flush retries attempted while stalled
   kLogStallResumes,        // stalled -> healthy transitions (space freed)
   kLogPoisonEvents,        // -> poisoned transitions (EIO / failed fsync)
-  kLogReadErrors,          // ReadDurable shortfalls (hard error or EOF)
   kLogWriterRejects,       // writer ops rejected with Status::LogUnavailable
   kGovAdmissionWaits,      // governor admission-gate sleep episodes
   kGovAdmissionTimeouts,   // admission waits that failed open (anti-livelock)

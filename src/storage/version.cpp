@@ -20,17 +20,6 @@ Version* Version::Alloc(const Slice& payload, bool tombstone) {
   return v;
 }
 
-Version* Version::AllocStub(uint64_t log_ptr, uint32_t size) {
-  uint8_t cls;
-  void* mem = VersionAllocator::Instance().Allocate(sizeof(Version), &cls);
-  Version* v = new (mem) Version();
-  v->alloc_class = cls;
-  v->stub = true;
-  v->log_ptr = log_ptr;
-  v->size = size;
-  return v;
-}
-
 void Version::Free(Version* v) {
   if (v == nullptr) return;
   const uint8_t cls = v->alloc_class;

@@ -63,12 +63,8 @@ struct Version {
   uint64_t log_ptr{0};
   uint32_t size{0};
   bool tombstone{false};
-  // Anti-caching stub (paper §3.7): the payload was not loaded at recovery;
-  // `size` bytes live in the log at `log_ptr` and are faulted in on first
-  // access (the engine swaps the stub for a materialized version).
-  bool stub{false};
   // Allocator provenance (VersionAllocator size class, or 0xFF for raw
-  // malloc). Set by Alloc/AllocStub; Free routes by it, so versions survive
+  // malloc). Set by Alloc; Free routes by it, so versions survive
   // an EngineConfig::version_allocator mode change mid-process.
   uint8_t alloc_class{0xFF};
 
@@ -79,12 +75,9 @@ struct Version {
 
   // Allocates a version with a copy of `payload`. Tombstones carry no bytes.
   static Version* Alloc(const Slice& payload, bool tombstone = false);
-  // Allocates a payload-less stub referencing `size` durable bytes at
-  // `log_ptr` (lazy recovery).
-  static Version* AllocStub(uint64_t log_ptr, uint32_t size);
   // Immediate free. Only for versions that were never published to a chain
-  // (aborted OCC intents, transaction-private scratch copies): the storage
-  // is recyclable to another thread right away.
+  // (aborted OCC intents): the storage is recyclable to another thread right
+  // away.
   static void Free(Version* v);
   // Epoch-deferred free for versions that were reachable from an indirection
   // chain: concurrent readers may still traverse v until `epoch`'s

@@ -33,7 +33,6 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
       node_set_(res_->node_set),
       index_inserts_(res_->index_inserts),
       held_locks_(res_->held_locks),
-      scratch_versions_(res_->scratch_versions),
       read_opt_set_(res_->read_opt_set),
       staging_(res_->staging) {
   db_->metrics().Inc(res_pool_hit_ ? metrics::Ctr::kTxnResPoolHits
@@ -67,6 +66,18 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
     begin_ = db_->log().CurrentOffset();
   }
   ctx_ = db_->tids().Begin(begin_, &tid_);
+  if (scheme == CcScheme::kOcc && read_only) {
+    // The snapshot may be older than a bound the GC has already trimmed
+    // below. Registration, then a seq_cst fence, then the bound: a GC pass
+    // whose TID-table scan missed this transaction published its bound
+    // first, so it is seen here. The snapshot moves up to it.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const uint64_t trimmed = db_->gc_trim_bound();
+    if (trimmed > begin_) {
+      begin_ = trimmed;
+      ctx_->begin.store(begin_, std::memory_order_release);
+    }
+  }
   if (ERMIA_UNLIKELY(trace::SampleTxn())) {
     traced_ = true;
     trace_begin_tsc_ = prof::Cycles();
@@ -306,9 +317,10 @@ Status Transaction::Get(Index* index, const Slice& key, Slice* value) {
   return Read(index->table(), oid, value);
 }
 
-Status Transaction::ScanOids(
-    Index* index, const Slice& lo, const Slice& hi, int64_t limit,
-    const std::function<bool(const Slice&, Oid)>& cb, bool reverse) {
+template <typename Cb>
+Status Transaction::ScanVisible(Index* index, const Slice& lo,
+                                const Slice& hi, int64_t limit, const Cb& cb,
+                                bool reverse) {
   ERMIA_DCHECK(!finished_);
   Table* table = index->table();
   Status inner = Status::OK();
@@ -322,7 +334,7 @@ Status Transaction::ScanOids(
       return false;
     }
     ++delivered;
-    if (!cb(key, oid)) return false;
+    if (!cb(key, oid, value)) return false;
     return limit < 0 || delivered < limit;
   };
   std::vector<NodeHandle>* nodes = NeedsNodeSet() ? &node_set_ : nullptr;
@@ -341,39 +353,24 @@ Status Transaction::ScanOids(
   return inner;
 }
 
+Status Transaction::ScanOids(
+    Index* index, const Slice& lo, const Slice& hi, int64_t limit,
+    const std::function<bool(const Slice&, Oid)>& cb, bool reverse) {
+  return ScanVisible(
+      index, lo, hi, limit,
+      [&cb](const Slice& key, Oid oid, const Slice&) { return cb(key, oid); },
+      reverse);
+}
+
 Status Transaction::Scan(
     Index* index, const Slice& lo, const Slice& hi, int64_t limit,
     const std::function<bool(const Slice&, const Slice&)>& cb, bool reverse) {
-  ERMIA_DCHECK(!finished_);
-  Table* table = index->table();
-  Status inner = Status::OK();
-  int64_t delivered = 0;
-  auto wrap = [&](const Slice& key, Oid oid) -> bool {
-    Slice value;
-    Status s = Read(table, oid, &value);
-    if (s.IsNotFound()) return true;  // invisible or deleted: skip
-    if (!s.ok()) {
-      inner = s;
-      return false;
-    }
-    ++delivered;
-    if (!cb(key, value)) return false;
-    return limit < 0 || delivered < limit;
-  };
-  std::vector<NodeHandle>* nodes = NeedsNodeSet() ? &node_set_ : nullptr;
-  {
-    ERMIA_PROF_INDEX();
-    if (reverse) {
-      index->tree().ScanReverse(lo, hi, wrap, nodes);
-    } else {
-      index->tree().Scan(lo, hi, wrap, nodes);
-    }
-  }
-  if (ERMIA_UNLIKELY(traced_) && inner.ok()) {
-    trace::Emit(trace::Event::kTxnScan, tid_, index->fid(),
-                static_cast<uint64_t>(delivered));
-  }
-  return inner;
+  return ScanVisible(
+      index, lo, hi, limit,
+      [&cb](const Slice& key, Oid, const Slice& value) {
+        return cb(key, value);
+      },
+      reverse);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,8 +534,6 @@ void Transaction::Finish(bool committed) {
     db_->governor()->ReleaseWriter();
     gov_slot_ = false;
   }
-  for (Version* v : scratch_versions_) Version::Free(v);
-  scratch_versions_.clear();
   db_->tids().Release(ctx_);
   if (in_epoch_) {
     ERMIA_PROF_EPOCH();
@@ -557,31 +552,6 @@ void Transaction::Finish(bool committed) {
 void Transaction::RegisterNode(const NodeHandle& handle) {
   if (!NeedsNodeSet()) return;
   node_set_.push_back(handle);
-}
-
-Version* Transaction::MaterializeStub(Table* table, Oid oid, Version* stub) {
-  ERMIA_DCHECK(stub->stub);
-  std::string payload(stub->size, '\0');
-  Status s = db_->log().ReadDurable(stub->log_ptr, payload.data(),
-                                    stub->size);
-  ERMIA_CHECK(s.ok());  // the stub's address came from the durable log
-  Version* full = Version::Alloc(payload);
-  full->clsn.store(stub->clsn.load(std::memory_order_acquire),
-                   std::memory_order_relaxed);
-  full->log_ptr = stub->log_ptr;
-  full->next.store(stub->next.load(std::memory_order_acquire),
-                   std::memory_order_relaxed);
-  // Fast path: the stub is still the chain head — swap it so every later
-  // reader gets the materialized version for free.
-  if (table->array().CasHead(oid, stub, full)) {
-    Version::FreeDeferred(&db_->gc_epoch(), stub);
-    return full;
-  }
-  // Someone installed above the stub (or materialized it concurrently):
-  // keep the copy private to this transaction.
-  full->next.store(nullptr, std::memory_order_relaxed);
-  scratch_versions_.push_back(full);
-  return full;
 }
 
 Transaction::WriteSetEntry* Transaction::FindOwnWrite(Table* table, Oid oid) {

@@ -174,10 +174,11 @@ class Transaction {
   Status NodeSetValidate() const;  // cc/node_set.cpp
   WriteSetEntry* FindOwnWrite(Table* table, Oid oid);
 
-  // Lazy recovery (anti-caching, §3.7): faults a stub version's payload in
-  // from the durable log. Swaps the chain head in place when possible,
-  // otherwise returns a transaction-private materialization.
-  Version* MaterializeStub(Table* table, Oid oid, Version* stub);
+  // Shared body of Scan and ScanOids: walks the index, reads each OID and
+  // hands (key, oid, value) of visible records to `cb`.
+  template <typename Cb>
+  Status ScanVisible(Index* index, const Slice& lo, const Slice& hi,
+                     int64_t limit, const Cb& cb, bool reverse);
 
   // ---- SI (cc/si.cpp) ----
   // Returns the version of `oid` visible at `begin_`, waiting out committing
@@ -275,10 +276,6 @@ class Transaction {
   // 2PL: locks held, sorted by (fid << 32 | oid) for binary search
   // (cc/tpl.cpp).
   std::vector<TplLockEntry>& held_locks_;
-
-  // Transaction-private materializations of lazy-recovery stubs that could
-  // not be swapped into the chain; freed when the transaction finishes.
-  std::vector<Version*>& scratch_versions_;
 
   // SSN read-opt: exempt reads whose overwriter was still in flight at read
   // time (no bitmap bit, no ReadSetEntry; resolved again at commit).

@@ -58,7 +58,6 @@ struct TxnResources {
   std::vector<NodeHandle> node_set;
   std::vector<IndexInsertEntry> index_inserts;
   std::vector<TplLockEntry> held_locks;
-  std::vector<Version*> scratch_versions;
   std::vector<char> staging;
   // SSN read-opt exemption (cc/safe_snapshot.h): old versions read without
   // bitmap advertisement whose overwriter sstamp was not yet final at read
@@ -72,7 +71,6 @@ struct TxnResources {
     node_set.clear();
     index_inserts.clear();
     held_locks.clear();
-    scratch_versions.clear();
     staging.clear();
     read_opt_set.clear();
   }

@@ -222,5 +222,44 @@ TEST_F(OccTest, DeleteValidatesAgainstConcurrentRead) {
   EXPECT_TRUE(reader.Commit().IsAborted());  // x was overwritten (tombstone)
 }
 
+// OCC read-only transactions begin at the lagging OCC snapshot, but the GC
+// trims up to the log tail when no transaction is active. A read-only
+// transaction that begins after such a trim must move its snapshot up to the
+// trim bound instead of missing the record. The long daemon intervals keep
+// the daemons out of the way.
+TEST(OccSnapshotGcTest, ReadOnlySnapshotMovesUpToTheGcTrimBound) {
+  EngineConfig config;
+  config.enable_gc = true;
+  config.gc_interval_ms = 1000;
+  config.occ_snapshot_interval_ms = 1000;
+  testing::TempDb db(config);
+  Table* t = db->CreateTable("t");
+  Index* pk = db->CreateIndex(t, "t_pk");
+  ASSERT_TRUE(db->Open().ok());
+  Oid oid = 0;
+  {
+    Transaction txn(db.get(), CcScheme::kOcc);
+    ASSERT_TRUE(txn.Insert(t, pk, "k", "v0", &oid).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  db->RefreshOccSnapshot();  // the read-only snapshot now covers v0
+  {
+    Transaction txn(db.get(), CcScheme::kOcc);
+    ASSERT_TRUE(txn.Update(t, oid, "v1").ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  auto read_only_get = [&] {
+    Transaction ro(db.get(), CcScheme::kOcc, /*read_only=*/true);
+    Slice v;
+    Status s = ro.Read(t, oid, &v);
+    std::string out = s.ok() ? v.ToString() : "<" + s.ToString() + ">";
+    EXPECT_TRUE(ro.Commit().ok());
+    return out;
+  };
+  EXPECT_EQ(read_only_get(), "v0");  // untrimmed: the snapshot is stale
+  const size_t reclaimed = db->gc().RunOnce();
+  EXPECT_EQ(read_only_get(), "v1") << "reclaimed " << reclaimed;
+}
+
 }  // namespace
 }  // namespace ermia

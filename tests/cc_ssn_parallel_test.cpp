@@ -2,9 +2,8 @@
 // former global commit latch, so these tests stress the latch-free paths
 // specifically — barrier-synchronized write skews that MUST NOT both commit,
 // disjoint-key traffic that MUST all commit (no cross-transaction
-// interference, no deadlock in the stamp-finalization waits), a randomized
-// dependency-graph check at higher thread counts, and the legacy serial-latch
-// mode kept for the ablation benchmark.
+// interference, no deadlock in the stamp-finalization waits), and a
+// randomized dependency-graph check at higher thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,10 +23,8 @@ namespace {
 
 class SsnParallelTest : public ::testing::Test {
  protected:
-  void SetUpDb(bool parallel_commit) {
-    EngineConfig config;
-    config.ssn_parallel_commit = parallel_commit;
-    db_ = std::make_unique<testing::TempDb>(config);
+  void SetUp() override {
+    db_ = std::make_unique<testing::TempDb>();
     ASSERT_TRUE((*db_)->Open().ok());
     table_ = (*db_)->CreateTable("t");
     pk_ = (*db_)->CreateIndex(table_, "t_pk");
@@ -65,7 +62,6 @@ class SsnParallelTest : public ::testing::Test {
 // the version the other overwrote), so at most one may succeed — and at least
 // one must (no mutual-abort livelock round after round).
 TEST_F(SsnParallelTest, BarrieredWriteSkewNeverBothCommit) {
-  SetUpDb(/*parallel_commit=*/true);
   constexpr int kPairs = 4;
   constexpr int kRounds = 60;
 
@@ -126,7 +122,6 @@ TEST_F(SsnParallelTest, BarrieredWriteSkewNeverBothCommit) {
 // not introduce cross-transaction aborts, and the stamp-finalization loop may
 // not deadlock while unrelated commits are in flight.
 TEST_F(SsnParallelTest, DisjointCommitsAllSucceed) {
-  SetUpDb(/*parallel_commit=*/true);
   constexpr int kThreads = 8;
   constexpr int kTxns = 200;
 
@@ -164,7 +159,6 @@ TEST_F(SsnParallelTest, DisjointCommitsAllSucceed) {
 // count than cc_ssn_test's property test: reconstruct the committed history's
 // dependency graph (WR, WW, RW edges) and assert it is acyclic.
 TEST_F(SsnParallelTest, RandomHistoriesAcyclicUnderParallelCommit) {
-  SetUpDb(/*parallel_commit=*/true);
   constexpr int kRecords = 8;
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 250;
@@ -299,29 +293,6 @@ TEST_F(SsnParallelTest, RandomHistoriesAcyclicUnderParallelCommit) {
   }
   EXPECT_FALSE(cycle) << "committed history has a dependency cycle";
   EXPECT_GT(history.size(), 200u) << "too few commits to be meaningful";
-}
-
-// The serial-latch fallback (ssn_parallel_commit=false) stays correct: it
-// exists for the ablation benchmark, so it must still reject write skew.
-TEST_F(SsnParallelTest, LegacySerialLatchModeRejectsWriteSkew) {
-  SetUpDb(/*parallel_commit=*/false);
-  Put("x", "0");
-  Put("y", "0");
-  const Oid x = OidOf("x");
-  const Oid y = OidOf("y");
-  Transaction t1(db_->get(), CcScheme::kSiSsn);
-  Transaction t2(db_->get(), CcScheme::kSiSsn);
-  Slice v;
-  ASSERT_TRUE(t1.Read(table_, x, &v).ok());
-  ASSERT_TRUE(t1.Read(table_, y, &v).ok());
-  ASSERT_TRUE(t2.Read(table_, x, &v).ok());
-  ASSERT_TRUE(t2.Read(table_, y, &v).ok());
-  Status w1 = t1.Update(table_, x, "t1");
-  Status w2 = t2.Update(table_, y, "t2");
-  Status c1 = w1.ok() ? t1.Commit() : (t1.Abort(), w1);
-  Status c2 = w2.ok() ? t2.Commit() : (t2.Abort(), w2);
-  EXPECT_FALSE(c1.ok() && c2.ok()) << "write skew committed in legacy mode";
-  EXPECT_TRUE(c1.ok() || c2.ok());
 }
 
 }  // namespace

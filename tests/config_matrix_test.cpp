@@ -80,7 +80,6 @@ struct EngineVariant {
   bool synchronous_commit;
   bool enable_gc;
   uint64_t checkpoint_interval_ms;
-  bool lazy_recovery;
   uint64_t log_segment_size;
 };
 
@@ -98,7 +97,6 @@ TEST_P(EngineConfigTest, WorkloadPlusRestartCycle) {
   config.enable_gc = v.enable_gc;
   config.gc_interval_ms = 5;
   config.checkpoint_interval_ms = v.checkpoint_interval_ms;
-  config.lazy_recovery = v.lazy_recovery;
   config.log_segment_size = v.log_segment_size;
 
   testing::TempDb db(config);
@@ -148,12 +146,12 @@ TEST_P(EngineConfigTest, WorkloadPlusRestartCycle) {
 INSTANTIATE_TEST_SUITE_P(
     Variants, EngineConfigTest,
     ::testing::Values(
-        EngineVariant{"defaults", false, true, 0, false, 64ull << 20},
-        EngineVariant{"sync_commit", true, true, 0, false, 64ull << 20},
-        EngineVariant{"no_gc", false, false, 0, false, 64ull << 20},
-        EngineVariant{"chk_daemon", false, true, 25, false, 64ull << 20},
-        EngineVariant{"lazy_recovery", true, true, 25, true, 64ull << 20},
-        EngineVariant{"tiny_segments", true, true, 0, false, 1 << 15}),
+        EngineVariant{"defaults", false, true, 0, 64ull << 20},
+        EngineVariant{"sync_commit", true, true, 0, 64ull << 20},
+        EngineVariant{"no_gc", false, false, 0, 64ull << 20},
+        EngineVariant{"chk_daemon", false, true, 25, 64ull << 20},
+        EngineVariant{"sync_chk_daemon", true, true, 25, 64ull << 20},
+        EngineVariant{"tiny_segments", true, true, 0, 1 << 15}),
     [](const ::testing::TestParamInfo<EngineVariant>& info) {
       return info.param.name;
     });

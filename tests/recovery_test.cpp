@@ -18,7 +18,7 @@ namespace ermia {
 namespace {
 
 // Parameterized over recovery_threads: every scenario (checkpoint fallback,
-// torn tail, lazy stubs, segment rotation, ...) runs on both the legacy
+// torn tail, segment rotation, ...) runs on both the legacy
 // serial path (1) and the partitioned parallel path (4), which must be
 // state-equivalent by construction.
 class RecoveryTest : public ::testing::TestWithParam<uint32_t> {
@@ -284,69 +284,6 @@ TEST_P(RecoveryTest, TornTailIsTruncated) {
   EXPECT_EQ(Get(pk_, "after"), "crash");
 }
 
-TEST_P(RecoveryTest, LazyRecoveryFaultsPayloadsOnFirstAccess) {
-  for (int i = 0; i < 100; ++i) {
-    Put("lazy" + std::to_string(i), "value-" + std::to_string(i),
-        "sec" + std::to_string(i));
-  }
-  ASSERT_TRUE((*db_)->TakeCheckpoint(nullptr).ok());
-  Put("tail", "after-checkpoint");
-
-  // Restart in lazy mode: checkpointed records come back as stubs.
-  EngineConfig lazy = config_;
-  lazy.lazy_recovery = true;
-  db_->ShutDown();
-  db_->Restart(lazy);
-  table_ = (*db_)->CreateTable("t");
-  pk_ = (*db_)->CreateIndex(table_, "t_pk");
-  sec_ = (*db_)->CreateIndex(table_, "t_sec");
-  ASSERT_TRUE((*db_)->Open().ok());
-  ASSERT_TRUE((*db_)->Recover().ok());
-
-  // First accesses materialize; values must be exact, via either index and
-  // under every CC scheme.
-  EXPECT_EQ(Get(pk_, "lazy0"), "value-0");
-  EXPECT_EQ(Get(sec_, "sec42"), "value-42");
-  EXPECT_EQ(Get(pk_, "tail"), "after-checkpoint");
-  {
-    Transaction occ(db_->get(), CcScheme::kOcc);
-    Slice v;
-    ASSERT_TRUE(occ.Get(pk_, "lazy7", &v).ok());
-    EXPECT_EQ(v.ToString(), "value-7");
-    ASSERT_TRUE(occ.Commit().ok());
-  }
-  {
-    Transaction tpl(db_->get(), CcScheme::k2pl);
-    Slice v;
-    ASSERT_TRUE(tpl.Get(pk_, "lazy8", &v).ok());
-    EXPECT_EQ(v.ToString(), "value-8");
-    ASSERT_TRUE(tpl.Commit().ok());
-  }
-  // Repeated reads hit the materialized (head-swapped) version.
-  EXPECT_EQ(Get(pk_, "lazy0"), "value-0");
-  // Scans fault in everything they deliver.
-  {
-    Transaction txn(db_->get(), CcScheme::kSi);
-    int n = 0;
-    ASSERT_TRUE(txn.Scan(pk_, "lazy", "lazy99", -1,
-                         [&](const Slice&, const Slice& v) {
-                           EXPECT_TRUE(v.ToString().rfind("value-", 0) == 0);
-                           ++n;
-                           return true;
-                         })
-                    .ok());
-    EXPECT_EQ(n, 100);
-    EXPECT_TRUE(txn.Commit().ok());
-  }
-  // Updating a still-stubbed record works (writers never need the payload).
-  Put("lazy99", "updated");
-  EXPECT_EQ(Get(pk_, "lazy99"), "updated");
-  // And a further restart (eager this time) round-trips the updates.
-  Restart();
-  EXPECT_EQ(Get(pk_, "lazy99"), "updated");
-  EXPECT_EQ(Get(pk_, "lazy1"), "value-1");
-}
-
 TEST_P(RecoveryTest, RecoveredDataIsWritable) {
   Put("k", "v1");
   Restart();
@@ -607,38 +544,6 @@ TEST_P(RecoveryTest, TombstonesInvisibleToAllSchemesAfterRecovery) {
       ASSERT_TRUE(txn.Commit().ok());
     }
   }
-}
-
-// ---- lazy roll-forward ----------------------------------------------------
-
-// Without a checkpoint, the whole state comes from tail replay; under
-// lazy_recovery the replayed records must be installed as payload-less stubs
-// that materialize on first access — not eagerly fetched.
-TEST_P(RecoveryTest, LazyRollForwardInstallsStubs) {
-  Put("s1", "v1");
-  Put("s2", "v2");
-  EngineConfig lazy = config_;
-  lazy.lazy_recovery = true;
-  db_->ShutDown();
-  db_->Restart(lazy);
-  table_ = (*db_)->CreateTable("t");
-  pk_ = (*db_)->CreateIndex(table_, "t_pk");
-  sec_ = (*db_)->CreateIndex(table_, "t_sec");
-  ASSERT_TRUE((*db_)->Open().ok());
-  ASSERT_TRUE((*db_)->Recover().ok());
-
-  Oid oid = 0;
-  NodeHandle handle;
-  ASSERT_TRUE(pk_->tree().Lookup("s1", &oid, &handle));
-  Version* head = table_->array().Head(oid);
-  ASSERT_NE(head, nullptr);
-  EXPECT_TRUE(head->stub) << "tail replay must install stubs under lazy mode";
-
-  EXPECT_EQ(Get(pk_, "s1"), "v1");  // first access materializes
-  head = table_->array().Head(oid);
-  ASSERT_NE(head, nullptr);
-  EXPECT_FALSE(head->stub) << "materialization should swap the chain head";
-  EXPECT_EQ(Get(pk_, "s2"), "v2");
 }
 
 // ---- per-operation logs are unrecoverable --------------------------------

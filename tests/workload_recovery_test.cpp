@@ -14,9 +14,8 @@ namespace ermia {
 namespace tpcc {
 namespace {
 
-class WorkloadRecoveryTest : public ::testing::TestWithParam<bool> {
+class WorkloadRecoveryTest : public ::testing::Test {
  protected:
-  // Param: lazy recovery on/off.
   void SetUp() override {
     config_.synchronous_commit = true;
     cfg_.warehouses = 2;
@@ -29,10 +28,8 @@ class WorkloadRecoveryTest : public ::testing::TestWithParam<bool> {
   }
 
   void CrashAndRecover() {
-    EngineConfig reopened = config_;
-    reopened.lazy_recovery = GetParam();
     db_->ShutDown();
-    db_->Restart(reopened);
+    db_->Restart(config_);
     tables_ = CreateTpccSchema(db_->get(), /*hybrid=*/false);
     ASSERT_TRUE((*db_)->Open().ok());
     ASSERT_TRUE((*db_)->Recover().ok());
@@ -116,7 +113,7 @@ class WorkloadRecoveryTest : public ::testing::TestWithParam<bool> {
   std::atomic<uint64_t> seq_{0};
 };
 
-TEST_P(WorkloadRecoveryTest, CrashWithoutCheckpoint) {
+TEST_F(WorkloadRecoveryTest, CrashWithoutCheckpoint) {
   RunTraffic(/*txns_per_thread=*/40, /*threads=*/3);
   CheckConsistency();
   CrashAndRecover();
@@ -125,7 +122,7 @@ TEST_P(WorkloadRecoveryTest, CrashWithoutCheckpoint) {
   CheckConsistency();
 }
 
-TEST_P(WorkloadRecoveryTest, CheckpointMidStream) {
+TEST_F(WorkloadRecoveryTest, CheckpointMidStream) {
   RunTraffic(30, 3);
   ASSERT_TRUE((*db_)->TakeCheckpoint(nullptr).ok());
   RunTraffic(30, 3);  // post-checkpoint tail to replay
@@ -136,7 +133,7 @@ TEST_P(WorkloadRecoveryTest, CheckpointMidStream) {
   CheckConsistency();
 }
 
-TEST_P(WorkloadRecoveryTest, DoubleCrash) {
+TEST_F(WorkloadRecoveryTest, DoubleCrash) {
   RunTraffic(25, 2);
   CrashAndRecover();
   RunTraffic(25, 2);
@@ -144,12 +141,6 @@ TEST_P(WorkloadRecoveryTest, DoubleCrash) {
   CrashAndRecover();
   CheckConsistency();
 }
-
-INSTANTIATE_TEST_SUITE_P(EagerAndLazy, WorkloadRecoveryTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Lazy" : "Eager";
-                         });
 
 }  // namespace
 }  // namespace tpcc
