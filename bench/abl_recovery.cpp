@@ -1,11 +1,13 @@
-// Ablation: partitioned parallel log replay (EngineConfig::recovery_threads)
-// vs the legacy serial scan. Generates a log of ERMIA_BENCH_LOG_MB megabytes
-// (default 16; set 1024+ for paper-scale runs), then reopens the same
-// directory once per worker count and times Database::Recover(). Replay is
-// reported as GB/s over the bytes the recovery actually scanned
-// (metrics: recovery_replay_bytes), plus the speedup against the serial
-// pass. Since a clean Close() writes nothing and Recover() only rebuilds
-// in-memory state, every pass replays the identical log.
+// Ablation: shared-nothing log replay across EngineConfig::recovery_threads
+// workers. Generates a log of ERMIA_BENCH_LOG_MB megabytes (default 16; set
+// 1024+ for paper-scale runs), then reopens the same directory once per
+// worker count (ERMIA_BENCH_THREADS) and times Database::Recover(). Replay is
+// reported as GB/s over the bytes the recovery actually scanned (metrics:
+// recovery_replay_bytes), the speedup against the first worker count, and
+// the per-stage wall times (read, verify, install). Since a clean Close()
+// writes nothing and Recover() only rebuilds in-memory state, every pass
+// replays the identical log, so the records replayed must match across
+// worker counts: the binary exits 1 if they do not.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -102,6 +104,8 @@ struct RecoveryPoint {
   double seconds = 0;
   uint64_t bytes = 0;
   uint64_t records = 0;
+  // Stage wall times (ms): checkpoint load, read, verify, install.
+  double ckpt_ms = 0, read_ms = 0, verify_ms = 0, install_ms = 0;
   BenchResult result;
 };
 
@@ -125,6 +129,10 @@ RecoveryPoint RecoverOnce(const std::string& dir, uint32_t workers) {
   const metrics::MetricsSnapshot snap = db.SnapshotMetrics();
   p.bytes = snap.counter(metrics::Ctr::kRecoveryReplayBytes);
   p.records = snap.counter(metrics::Ctr::kRecoveryReplayRecords);
+  p.ckpt_ms = snap.counter(metrics::Ctr::kRecoveryCheckpointUs) / 1e3;
+  p.read_ms = snap.counter(metrics::Ctr::kRecoveryReadUs) / 1e3;
+  p.verify_ms = snap.counter(metrics::Ctr::kRecoveryVerifyUs) / 1e3;
+  p.install_ms = snap.counter(metrics::Ctr::kRecoveryInstallUs) / 1e3;
   p.result.seconds = secs;
   p.result.threads = workers;
   p.result.recovery_ms = secs * 1000.0;
@@ -135,8 +143,8 @@ RecoveryPoint RecoverOnce(const std::string& dir, uint32_t workers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintHeader("abl_recovery: partitioned parallel log replay vs serial scan",
-              "recovery pipeline ablation (paper §3.7, log-is-the-database)");
+  PrintHeader("abl_recovery: shared-nothing log replay by worker count",
+              "recovery replay ablation (paper §3.7, log-is-the-database)");
   JsonReporter json(argc, argv, "abl_recovery");
 
   const uint64_t log_mb = EnvLogMb();
@@ -147,11 +155,9 @@ int main(int argc, char** argv) {
               "(ERMIA_BENCH_LOG_MB)\n",
               hw, static_cast<unsigned long long>(log_mb));
   if (hw <= 1) {
-    std::printf("note: replay workers only beat the serial scan with real\n"
-                "parallelism; on a single hardware thread the pipeline adds\n"
-                "queue overhead and the speedup column will hover near 1x.\n"
-                "The >=3x-at-8-workers claim needs an 8+ core machine and a\n"
-                "1GB+ log (ERMIA_BENCH_LOG_MB=1024).\n");
+    std::printf("note: replay workers only beat one worker with real\n"
+                "parallelism; on a single hardware thread the speedup\n"
+                "column will hover near 1x.\n");
   }
 
   // Generation directory: tmpfs when available, as the paper stores the log.
@@ -168,19 +174,28 @@ int main(int argc, char** argv) {
               kValueSize);
   GenerateLog(dir, log_mb);
 
-  std::printf("\n%8s %12s %12s %12s %10s\n", "workers", "recover-ms",
-              "replay-GB/s", "records", "speedup");
-  double serial_secs = 0;
+  std::printf("\n%8s %12s %12s %12s %10s %9s %9s %9s\n", "workers",
+              "recover-ms", "replay-GB/s", "records", "speedup", "read-ms",
+              "verify-ms", "install-ms");
+  double first_secs = 0;
   double last_speedup = 0;
-  for (uint32_t w : workers) {
+  uint64_t first_records = 0;
+  bool records_match = true;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    const uint32_t w = workers[i];
     RecoveryPoint p = RecoverOnce(dir, w);
-    if (w == workers.front()) serial_secs = p.seconds;
+    if (i == 0) {
+      first_secs = p.seconds;
+      first_records = p.records;
+    }
+    records_match = records_match && p.records == first_records;
     const double gbps =
         p.seconds > 0 ? static_cast<double>(p.bytes) / p.seconds / 1e9 : 0.0;
-    last_speedup = p.seconds > 0 ? serial_secs / p.seconds : 0.0;
-    std::printf("%8u %12.1f %12.3f %12llu %9.2fx\n", w, p.seconds * 1000.0,
-                gbps, static_cast<unsigned long long>(p.records),
-                last_speedup);
+    last_speedup = p.seconds > 0 ? first_secs / p.seconds : 0.0;
+    std::printf("%8u %12.1f %12.3f %12llu %9.2fx %9.1f %9.1f %9.1f\n", w,
+                p.seconds * 1000.0, gbps,
+                static_cast<unsigned long long>(p.records), last_speedup,
+                p.read_ms, p.verify_ms, p.install_ms);
     json.Add("replay/workers=" + std::to_string(w), p.result);
   }
   std::printf("\nspeedup at max workers: %.2fx\n", last_speedup);
@@ -188,5 +203,11 @@ int main(int argc, char** argv) {
   std::string cmd = "rm -rf '" + dir + "'";
   int rc = std::system(cmd.c_str());
   (void)rc;
+  if (!records_match) {
+    std::fprintf(stderr,
+                 "abl_recovery: records replayed differ across worker "
+                 "counts\n");
+    return 1;
+  }
   return 0;
 }

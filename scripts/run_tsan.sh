@@ -51,17 +51,15 @@ done
 echo "=== crash_recovery_harness (tsan, 8 seeds) ==="
 ERMIA_CRASH_SEEDS=8 "$BUILD_DIR/tests/crash_recovery_harness"
 
-# Parallel-replay pass: the same sweep with the partitioned recovery pipeline
-# forced wide (dispatcher + 6 install workers), so TSan sees the replay
-# queues, the per-partition installs, and the checkpoint/tail barrier under
-# real contention even on small CI machines. The harness's differential step
-# also re-runs the serial path, so both recovery paths are exercised here.
-echo "=== crash_recovery_harness (tsan, parallel replay, 6 workers) ==="
+# Wide-replay pass: the same sweep with 6 replay workers, so TSan sees the
+# crew's step barriers, the per-partition installs, and the checkpoint/tail
+# barrier under real contention even on small CI machines. The harness's
+# differential step also recovers with one worker.
+echo "=== crash_recovery_harness (tsan, 6 replay workers) ==="
 ERMIA_CRASH_SEEDS=8 ERMIA_RECOVERY_THREADS=6 \
   "$BUILD_DIR/tests/crash_recovery_harness"
 
-# The replay pipeline itself, across the full recovery unit suite (both the
-# Serial and Parallel4 parameterizations).
+# Replay itself, across the full recovery unit suite (1, 3 and 4 workers).
 cmake --build "$BUILD_DIR" -j --target recovery_test
 echo "=== recovery_test (tsan) ==="
 "$BUILD_DIR/tests/recovery_test"

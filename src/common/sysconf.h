@@ -98,13 +98,13 @@ struct EngineConfig {
   // modeled as a periodically advanced snapshot LSN).
   uint64_t occ_snapshot_interval_ms = 20;
 
-  // Recovery parallelism: number of replay worker threads for checkpoint
-  // loading and log-tail replay. Records are partitioned by hash(table, OID)
-  // (index entries by hash(index, key)), so per-chain LSN order is preserved
-  // with no cross-worker coordination — the property the indirection arrays
-  // (§3.2) and segmented LSN space (§3.3) were designed to enable. 0 = use
-  // the hardware concurrency; 1 = the legacy single-threaded path, kept for
-  // differential testing (the crash harness proves parallel ≡ serial state).
+  // Recovery parallelism: number of replay workers for checkpoint loading
+  // and log-tail replay. Table records are partitioned by stripes of
+  // consecutive OIDs and index entries by a hash of the key, so per-chain
+  // LSN order is preserved with no cross-worker coordination — the property
+  // the indirection arrays (§3.2) and segmented LSN space (§3.3) were
+  // designed to enable. 0 = use the hardware concurrency; 1 runs the same
+  // replay with one worker (the crash harness checks 1 ≡ N workers).
   uint32_t recovery_threads = 0;
 
   // Periodic fuzzy checkpoints (paper §3.7: "OID arrays are periodically

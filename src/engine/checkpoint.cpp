@@ -24,6 +24,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "common/spin_latch.h"
 #include "engine/database.h"
@@ -44,7 +45,7 @@ struct CheckpointEntry {
 };
 
 // Appends to the checkpoint file while folding every byte into the running
-// FNV-1a state that becomes the footer checksum. Field-sized appends are
+// LogChecksum that becomes the footer checksum. Field-sized appends are
 // coalesced into large writes (the syscall-per-field pattern dominated
 // checkpoint cost for big indexes).
 class ChecksummingWriter {
@@ -52,11 +53,8 @@ class ChecksummingWriter {
   explicit ChecksummingWriter(int fd) : fd_(fd) { buf_.reserve(kBufSize); }
 
   bool Append(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 16777619u;
-    }
+    const auto* p = static_cast<const char*>(data);
+    crc_ = crc32c::Extend(crc_, p, n);
     buf_.insert(buf_.end(), p, p + n);
     if (buf_.size() >= kBufSize) return Flush();
     return true;
@@ -69,13 +67,13 @@ class ChecksummingWriter {
     return ok;
   }
 
-  uint32_t checksum() const { return h_; }
+  uint32_t checksum() const { return crc_; }
 
  private:
   static constexpr size_t kBufSize = 1 << 16;
 
   int fd_;
-  uint32_t h_ = 2166136261u;  // FNV-1a basis, matching LogChecksum
+  uint32_t crc_ = 0;
   std::vector<char> buf_;
 };
 

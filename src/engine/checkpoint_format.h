@@ -19,7 +19,7 @@
 // (tombstone overwrite) logs no fresh index-insert record, so dropping
 // tombstones from the checkpoint would strand such records unreachable
 // after recovery.
-//   u32 kCheckpointFooterMagic, u32 fnv1a_checksum_of_all_preceding_bytes
+//   u32 kCheckpointFooterMagic, u32 LogChecksum (CRC32C) of all preceding bytes
 //
 // The footer is written last: a torn or corrupt checkpoint fails
 // verification and recovery falls back to the next-older marker (or a full

@@ -32,7 +32,6 @@
 
 namespace ermia {
 
-class LogScanner;
 class OverloadGovernor;
 class Watchdog;
 
@@ -170,12 +169,6 @@ class Database {
 
  private:
   friend class Transaction;
-
-  // Installs a parsed, checksum-verified checkpoint image (an opaque
-  // recovery.cpp CheckpointImage) into the OID arrays and indexes, using
-  // `workers` install threads (<=1 = serial path).
-  Status ApplyCheckpointImage(const void* image, LogScanner& scanner,
-                              uint32_t workers);
 
   // Recover() body; the wrapper adds wall-clock accounting.
   Status RecoverImpl();

@@ -5,29 +5,32 @@
 // is identical after a clean shutdown and after a crash; a crash merely means
 // a less recent checkpoint and a longer tail.
 //
-// Parallel replay (EngineConfig::recovery_threads): the indirection arrays
-// (§3.2) and segmented LSN space (§3.3) make replay embarrassingly parallel —
-// the only ordering that matters is per version chain (per OID), and per key
-// within one index. A single scan/dispatch stage walks durable blocks in
-// offset order (reusing ReadValidBlock's torn-tail predicate) and routes
-// records to N partition queues:
+// Shared-nothing replay (EngineConfig::recovery_threads workers): the
+// indirection arrays (§3.2) and segmented LSN space (§3.3) make replay order
+// matter only per version chain (per OID) and per key within one index. The
+// calling thread reads the log in chunks of several MiB
+// (LogScanner::ScanChunks), walking only block headers. Each chunk then takes
+// two steps on one crew of workers:
 //
-//   * table records (insert/update/delete) by hash(table fid, OID) — one
-//     worker owns each chain, so clsn-ordered install needs no atomics
-//     beyond the slot store, and chains rebuild in exactly log order;
-//   * index records by hash(index fid, key) — the B+-tree is the concurrent
-//     OLC tree used in normal operation, and first-insert-wins per key is
-//     preserved because one worker sees each key's inserts in log order.
+//   1. verify: the workers checksum strided shares of the chunk's blocks.
+//      The first bad block is then known, and the log ends there — no block
+//      after it is installed, even one another worker verified;
+//   2. install: every worker walks the valid blocks in log order and
+//      installs only the records of its own partition:
+//        * table records (insert/update/delete) by stripes of consecutive
+//          OIDs, so one worker owns each chain (clsn-ordered install needs
+//          no atomics beyond the slot store) and workers do not share the
+//          indirection array's cache lines;
+//        * index records by a hash of the key, so one worker sees each
+//          key's inserts in log order and first-insert-wins holds on the
+//          concurrent OLC tree.
 //
-// Checkpoint loading parallelizes the same way: entries are routed by
-// hash(table fid, OID) so the primary/secondary dedup rule (install once,
-// clsn check) runs on one worker per OID; the image is fully parsed and
-// checksum-verified before anything is dispatched, and the checkpoint phase
-// completes (workers joined) before tail replay starts, so the serial
-// ordering invariants — checkpoint before tail, per-chain LSN order,
-// tombstone reinstall — all carry over. recovery_threads=1 keeps
-// the legacy single-threaded path; the crash harness's differential sweep
-// asserts parallel ≡ serial state.
+// Checkpoint loading runs on the same crew, partitioned by the same OID
+// stripes, so the primary/secondary dedup rule (install once, clsn check)
+// runs on one worker per OID; the image is fully parsed and
+// checksum-verified before anything is installed, and the checkpoint step
+// completes before tail replay starts. recovery_threads=1 runs the same code
+// with one worker; the crash harness compares 1 and N workers.
 //
 // Checkpoint fallback: markers are tried newest-to-oldest. A checkpoint data
 // file is parsed and checksum-verified IN FULL before a single version or
@@ -49,13 +52,14 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <memory>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "engine/checkpoint_format.h"
 #include "engine/database.h"
@@ -163,7 +167,7 @@ Status LoadCheckpointImage(const std::string& path, CheckpointImage* img) {
   ::close(fd);
   ERMIA_RETURN_NOT_OK(rs);
 
-  // Footer first: magic + FNV-1a over the body. A torn checkpoint (crash
+  // Footer first: magic + LogChecksum over the body. A torn checkpoint (crash
   // mid-write before the marker of a LATER checkpoint, manual corruption,
   // bit rot) fails here and the caller falls back.
   const uint64_t body_size = file_size - kCheckpointFooterSize;
@@ -219,9 +223,8 @@ Status LoadCheckpointImage(const std::string& path, CheckpointImage* img) {
 }
 
 // Installs (or refreshes) a record version during recovery. Within one
-// replay, each (table, OID) is touched by exactly one thread — the serial
-// path trivially, the parallel path by partition routing — so plain stores
-// suffice; `clsn_value` orders competing records.
+// replay each (table, OID) is touched by exactly one worker (partition
+// routing), so plain stores suffice; `clsn_value` orders competing records.
 void InstallRecovered(Table* table, Oid oid, const Slice& payload,
                       bool tombstone, uint64_t clsn_value, uint64_t log_ptr) {
   IndirectionArray& array = table->array();
@@ -238,189 +241,120 @@ void InstallRecovered(Table* table, Oid oid, const Slice& payload,
   array.PutHead(oid, v);
 }
 
-// ---------------------------------------------------------------------------
-// Partitioned replay pipeline
-// ---------------------------------------------------------------------------
+// Table records and checkpoint entries: stripes of 2^kOidStripeBits
+// consecutive OIDs, dealt round-robin to the workers. Each worker's slots of
+// an indirection array are contiguous runs, unlike a per-OID hash, which put
+// every worker on every cache line of the array.
+constexpr uint32_t kOidStripeBits = 10;
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+uint32_t OidPartition(Oid oid, uint32_t n) {
+  return (oid >> kOidStripeBits) % n;
 }
 
-// Table records: all versions of one OID chain go to one worker.
-uint32_t ChainPartition(Fid fid, Oid oid, uint32_t n) {
-  return static_cast<uint32_t>(
-      Mix64((static_cast<uint64_t>(fid) << 32) | oid) % n);
+// Index records: all inserts of one key go to one worker, so the serial
+// first-insert-wins outcome per key is reproduced exactly.
+uint32_t KeyPartition(const char* key, size_t len, uint32_t n) {
+  return crc32c::Value(key, len) % n;
 }
 
-// Index records: all inserts of one (index, key) go to one worker, so the
-// serial first-insert-wins outcome per key is reproduced exactly.
-uint32_t KeyPartition(Fid fid, const char* key, size_t len, uint32_t n) {
-  uint64_t h = 14695981039346656037ull ^ fid;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<uint8_t>(key[i]);
-    h *= 1099511628211ull;
-  }
-  return static_cast<uint32_t>(h % n);
+using Clock = std::chrono::steady_clock;
+
+uint64_t MicrosSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
 }
 
-// Bounded batch queue, one per partition: the scan/dispatch stage is the
-// single producer, one install worker the single consumer. Bounded depth so
-// a fast scan over a multi-GB log cannot balloon memory if installs lag.
-template <typename T>
-class ReplayQueue {
+// A fixed crew of replay workers. Run(step) calls step(w) once for every
+// worker w in [0, size()) — worker 0 on the calling thread, the rest on the
+// crew's threads — and returns when all are done, so each step ends in a
+// barrier; an exception from any worker is rethrown from Run() after it.
+// With one worker no thread is started.
+class ReplayCrew {
  public:
-  void Push(std::vector<T>&& batch) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_space_.wait(lk, [this] { return q_.size() < kMaxDepth; });
-    q_.push_back(std::move(batch));
-    cv_items_.notify_one();
-  }
-
-  // Blocks for the next batch; false once closed and fully drained.
-  bool Pop(std::vector<T>* out) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_items_.wait(lk, [this] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    *out = std::move(q_.front());
-    q_.pop_front();
-    cv_space_.notify_one();
-    return true;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lk(mu_);
-    closed_ = true;
-    cv_items_.notify_all();
-  }
-
- private:
-  static constexpr size_t kMaxDepth = 16;
-
-  std::mutex mu_;
-  std::condition_variable cv_items_;
-  std::condition_variable cv_space_;
-  std::deque<std::vector<T>> q_;
-  bool closed_ = false;
-};
-
-// N install workers, each owning one partition queue. The producer calls
-// Route() (single-threaded), then Finish() flushes, closes, joins, and
-// returns the first worker error. After a worker error the remaining queues
-// still drain (items are discarded), so the producer never deadlocks on a
-// full queue.
-template <typename T>
-class ReplayPool {
- public:
-  ReplayPool(uint32_t workers, metrics::EngineMetrics* metrics,
-             std::function<Status(T&)> handler)
-      : metrics_(metrics),
-        handler_(std::move(handler)),
-        queues_(workers),
-        pending_(workers) {
-    threads_.reserve(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { WorkerLoop(w); });
+  explicit ReplayCrew(uint32_t workers) {
+    threads_.reserve(workers - 1);
+    for (uint32_t w = 1; w < workers; ++w) {
+      threads_.emplace_back([this, w] { Loop(w); });
     }
   }
 
-  ~ReplayPool() {
-    if (!finished_) (void)Finish();
-  }
-
-  uint32_t partitions() const {
-    return static_cast<uint32_t>(queues_.size());
-  }
-
-  void Route(uint32_t partition, T&& item) {
-    std::vector<T>& pend = pending_[partition];
-    pend.push_back(std::move(item));
-    if (pend.size() >= kBatch) {
-      queues_[partition].Push(std::move(pend));
-      pend.clear();
+  ~ReplayCrew() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      quit_ = true;
     }
-  }
-
-  Status Finish() {
-    finished_ = true;
-    for (size_t p = 0; p < pending_.size(); ++p) {
-      if (!pending_[p].empty()) {
-        queues_[p].Push(std::move(pending_[p]));
-        pending_[p].clear();
-      }
-    }
-    for (auto& q : queues_) q.Close();
+    start_cv_.notify_all();
     for (auto& t : threads_) t.join();
-    std::lock_guard<std::mutex> lk(err_mu_);
-    return first_error_;
+  }
+
+  ReplayCrew(const ReplayCrew&) = delete;
+  ReplayCrew& operator=(const ReplayCrew&) = delete;
+
+  uint32_t size() const { return static_cast<uint32_t>(threads_.size()) + 1; }
+
+  void Run(const std::function<void(uint32_t)>& step) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      step_ = &step;
+      pending_ = threads_.size();
+      ++generation_;
+    }
+    start_cv_.notify_all();
+    std::exception_ptr error;
+    try {
+      step(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [this] { return pending_ == 0; });
+    if (error == nullptr) error = error_;
+    error_ = nullptr;
+    if (error != nullptr) std::rethrow_exception(error);
   }
 
  private:
-  static constexpr size_t kBatch = 256;
-
-  void WorkerLoop(uint32_t partition) {
-    std::vector<T> batch;
-    while (queues_[partition].Pop(&batch)) {
-      const auto t0 = std::chrono::steady_clock::now();
-      if (!failed_.load(std::memory_order_relaxed)) {
-        for (T& item : batch) {
-          Status s = handler_(item);
-          if (!s.ok()) {
-            failed_.store(true, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lk(err_mu_);
-            if (first_error_.ok()) first_error_ = s;
-            break;
-          }
-        }
+  void Loop(uint32_t w) {
+    uint64_t seen = 0;
+    for (;;) {
+      const std::function<void(uint32_t)>* step = nullptr;
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        start_cv_.wait(lk, [&] { return quit_ || generation_ != seen; });
+        if (quit_) break;
+        seen = generation_;
+        step = step_;
       }
-      const uint64_t us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      metrics_->Observe(metrics::Hist::kRecoveryBatchRecords, batch.size());
-      metrics_->Observe(metrics::Hist::kRecoveryBatchUs, us);
-      batch.clear();
+      std::exception_ptr error;
+      try {
+        (*step)(w);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lk(mu_);
+      if (error != nullptr && error_ == nullptr) error_ = error;
+      if (--pending_ == 0) done_cv_.notify_one();
     }
     ThreadRegistry::Deregister();
   }
 
-  metrics::EngineMetrics* metrics_;
-  std::function<Status(T&)> handler_;
-  std::vector<ReplayQueue<T>> queues_;
-  std::vector<std::vector<T>> pending_;  // producer-side accumulation
-  std::vector<std::thread> threads_;
-  std::atomic<bool> failed_{false};
-  std::mutex err_mu_;
-  Status first_error_;
-  bool finished_ = false;
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  const std::function<void(uint32_t)>* step_ = nullptr;  // guarded by mu_
+  uint64_t generation_ = 0;                              // guarded by mu_
+  size_t pending_ = 0;                                   // guarded by mu_
+  std::exception_ptr error_;                             // guarded by mu_
+  bool quit_ = false;                                    // guarded by mu_
+  std::vector<std::thread> threads_;  // last: the threads use the above
 };
 
-// One routed checkpoint entry: the image outlives the pool, so entries are
-// referenced in place.
-struct CkptOp {
-  Table* table;
-  Index* index;
-  const CheckpointImage::Entry* entry;
-};
-
-// One routed tail record. Version ops reference payload bytes inside the
-// shared block buffer (no copy until Version::Alloc); `buf` keeps the block
-// alive until every record routed from it is installed.
-struct TailOp {
-  LogRecordType type;
-  Table* table;  // resolved at dispatch (kIndexInsert: the index's table)
-  Index* index;  // kIndexInsert only
-  Oid oid;
-  uint64_t clsn;
-  uint64_t payload_offset;  // durable address of the payload bytes
-  uint32_t key_off;
-  uint32_t payload_off;
-  uint32_t payload_size;
-  uint16_t key_size;
-  std::shared_ptr<const std::vector<char>> buf;
-};
+// One worker's install pass over one chunk (or over a checkpoint image).
+void ObserveBatch(Database* db, uint64_t records, Clock::time_point t0) {
+  db->metrics().Observe(metrics::Hist::kRecoveryBatchRecords, records);
+  db->metrics().Observe(metrics::Hist::kRecoveryBatchUs, MicrosSince(t0));
+}
 
 uint32_t ResolveRecoveryThreads(const EngineConfig& config) {
   uint32_t n = config.recovery_threads;
@@ -428,90 +362,79 @@ uint32_t ResolveRecoveryThreads(const EngineConfig& config) {
     const unsigned hw = std::thread::hardware_concurrency();
     n = hw == 0 ? 1 : hw;
   }
-  // The pool shares the dense thread registry with the rest of the engine;
+  // The crew shares the dense thread registry with the rest of the engine;
   // stay well below kMaxThreads.
   return std::min(n, 64u);
 }
 
-}  // namespace
-
-// Resolves the image against the schema and installs it. The image is
-// already checksum-verified, so every entry is authentic committed state; a
-// failure here (unknown fid = schema drift, unreadable log address) aborts
-// the attempt and the caller falls back to an older checkpoint — versions
-// installed so far are harmless, since they carry true clsns and the
-// clsn-ordered install rule keeps newer state on top.
-Status Database::ApplyCheckpointImage(const void* image_ptr,
-                                      LogScanner& scanner, uint32_t workers) {
-  const auto& img = *static_cast<const CheckpointImage*>(image_ptr);
+// Resolves the image against the schema and installs it on the crew. The
+// image is already checksum-verified, so every entry is authentic committed
+// state; a failure here (unknown fid = schema drift, unreadable log address)
+// aborts the attempt and the caller falls back to an older checkpoint —
+// versions installed so far are harmless, since they carry true clsns and
+// the clsn-ordered install rule keeps newer state on top.
+Status ApplyCheckpointImage(Database* db, const CheckpointImage& img,
+                            const LogScanner& scanner, ReplayCrew& crew) {
   // Resolve every fid before installing anything: schema drift fails the
-  // whole attempt instead of leaving a half-dispatched image behind.
+  // whole attempt instead of leaving a half-installed image behind.
   for (const auto& t : img.tables) {
-    if (TableByFid(t.fid) == nullptr) {
+    if (db->TableByFid(t.fid) == nullptr) {
       return Status::Corruption("checkpoint references unknown table fid");
     }
   }
   std::vector<Index*> section_index(img.indexes.size());
   for (size_t i = 0; i < img.indexes.size(); ++i) {
-    section_index[i] = IndexByFid(img.indexes[i].fid);
+    section_index[i] = db->IndexByFid(img.indexes[i].fid);
     if (section_index[i] == nullptr) {
       return Status::Corruption("checkpoint references unknown index fid");
     }
   }
   for (const auto& t : img.tables) {
-    Table* table = TableByFid(t.fid);
+    Table* table = db->TableByFid(t.fid);
     if (t.hwm > 1) table->array().EnsureAllocatedThrough(t.hwm - 1);
   }
 
-  // Shared by both paths: install one entry and its index mapping. The
-  // version is installed once even when secondary sections repeat the OID
-  // (the clsn check deduplicates); partition routing by (table, OID) keeps
-  // that dedup on a single worker.
-  auto apply_entry = [this, &scanner](Table* table, Index* index,
-                                      const CheckpointImage::Entry& e,
-                                      std::vector<char>& payload) -> Status {
-    if (e.tombstone) {
-      // No payload to fetch: install the tombstone directly. The
-      // index entry below keeps the key→OID mapping alive for replayed
-      // tombstone-overwrite updates.
-      InstallRecovered(table, e.oid, Slice(), true, e.clsn, e.log_ptr);
-    } else {
-      payload.resize(e.size);
-      ERMIA_RETURN_NOT_OK(scanner.ReadAt(e.log_ptr, payload.data(), e.size));
-      InstallRecovered(table, e.oid, Slice(payload.data(), e.size), false,
-                       e.clsn, e.log_ptr);
-    }
-    index->tree().Insert(Slice(e.key), e.oid, nullptr, nullptr);
-    metrics_.Inc(metrics::Ctr::kRecoveryCheckpointEntries);
-    return Status::OK();
-  };
-
-  if (workers <= 1) {
+  // Each worker installs the entries of its OID stripes and their index
+  // mappings. The version is installed once even when secondary sections
+  // repeat the OID (the clsn check deduplicates on the OID's one worker).
+  const uint32_t n = crew.size();
+  std::vector<Status> errors(n);
+  crew.Run([&](uint32_t w) {
+    const auto t0 = Clock::now();
+    uint64_t installed = 0;
     std::vector<char> payload;
-    for (size_t i = 0; i < img.indexes.size(); ++i) {
+    for (size_t i = 0; i < img.indexes.size() && errors[w].ok(); ++i) {
       Index* index = section_index[i];
       Table* table = index->table();
       for (const auto& e : img.indexes[i].entries) {
-        ERMIA_RETURN_NOT_OK(apply_entry(table, index, e, payload));
+        if (OidPartition(e.oid, n) != w) continue;
+        if (e.tombstone) {
+          // No payload to fetch: install the tombstone directly. The index
+          // entry below keeps the key→OID mapping alive for replayed
+          // tombstone-overwrite updates.
+          InstallRecovered(table, e.oid, Slice(), true, e.clsn, e.log_ptr);
+        } else {
+          payload.resize(e.size);
+          Status s = scanner.ReadAt(e.log_ptr, payload.data(), e.size);
+          if (!s.ok()) {
+            errors[w] = s;
+            break;
+          }
+          InstallRecovered(table, e.oid, Slice(payload.data(), e.size), false,
+                           e.clsn, e.log_ptr);
+        }
+        index->tree().Insert(Slice(e.key), e.oid, nullptr, nullptr);
+        ++installed;
       }
     }
-    return Status::OK();
-  }
-
-  ReplayPool<CkptOp> pool(workers, &metrics_, [&apply_entry](CkptOp& op) {
-    thread_local std::vector<char> payload;
-    return apply_entry(op.table, op.index, *op.entry, payload);
+    db->metrics().Inc(metrics::Ctr::kRecoveryCheckpointEntries, installed);
+    ObserveBatch(db, installed, t0);
   });
-  for (size_t i = 0; i < img.indexes.size(); ++i) {
-    Index* index = section_index[i];
-    Table* table = index->table();
-    for (const auto& e : img.indexes[i].entries) {
-      pool.Route(ChainPartition(table->fid(), e.oid, pool.partitions()),
-                 CkptOp{table, index, &e});
-    }
-  }
-  return pool.Finish();
+  for (const Status& s : errors) ERMIA_RETURN_NOT_OK(s);
+  return Status::OK();
 }
+
+}  // namespace
 
 Status Database::RecoverImpl() {
   LogScanner scanner(config_.log_dir);
@@ -526,20 +449,21 @@ Status Database::RecoverImpl() {
         "log was written with log_per_operation=true and is not recoverable: "
         "per-operation segments contain records of aborted transactions");
   }
-  const uint32_t workers = ResolveRecoveryThreads(config_);
+  ReplayCrew crew(ResolveRecoveryThreads(config_));
+  const uint32_t n = crew.size();
 
   // Try checkpoints newest-to-oldest; a corrupt/torn/unreadable one is
   // skipped, not fatal. With no usable checkpoint, replay the whole log.
-  // The checkpoint phase completes (all workers joined) before the tail
-  // starts, so tail records always install on top of checkpoint state,
-  // exactly as in the serial path.
+  // The checkpoint step completes on every worker before the tail starts,
+  // so tail records always install on top of checkpoint state.
+  const auto ckpt_t0 = Clock::now();
   uint64_t replay_from = kLogStartOffset;
   for (uint64_t begin : FindCheckpointMarkers(config_.log_dir)) {
     const std::string path =
         config_.log_dir + "/" + CheckpointDataName(begin);
     CheckpointImage img;
     Status s = LoadCheckpointImage(path, &img);
-    if (s.ok()) s = ApplyCheckpointImage(&img, scanner, workers);
+    if (s.ok()) s = ApplyCheckpointImage(this, img, scanner, crew);
     if (s.ok()) {
       replay_from = begin;
       break;
@@ -549,138 +473,107 @@ Status Database::RecoverImpl() {
                  "older checkpoint or full replay\n",
                  path.c_str(), s.ToString().c_str());
   }
+  metrics_.Inc(metrics::Ctr::kRecoveryCheckpointUs, MicrosSince(ckpt_t0));
 
-  // Roll forward from the checkpoint (or the log start).
-  if (workers <= 1) {
-    // Legacy serial path, kept bit-for-bit for differential testing.
-    Status scan_status =
-        scanner.Scan(replay_from, [&](const ScannedBlock& block) {
-          const uint64_t clsn_value = Lsn::Make(block.offset, 0).value();
-          metrics_.Inc(metrics::Ctr::kRecoveryReplayBlocks);
-          metrics_.Inc(metrics::Ctr::kRecoveryReplayBytes,
-                       block.end_offset - block.offset);
-          metrics_.Inc(metrics::Ctr::kRecoveryReplayRecords,
-                       block.records.size());
-          for (const auto& rec : block.records) {
-            switch (rec.type) {
-              case LogRecordType::kInsert:
-              case LogRecordType::kUpdate: {
-                Table* table = TableByFid(rec.fid);
-                if (table == nullptr) break;  // unknown fid: schema drift
-                InstallRecovered(table, rec.oid, Slice(rec.payload), false,
-                                 clsn_value, rec.payload_offset);
-                break;
-              }
-              case LogRecordType::kDelete: {
-                Table* table = TableByFid(rec.fid);
-                if (table == nullptr) break;
-                InstallRecovered(table, rec.oid, Slice(), true, clsn_value, 0);
-                break;
-              }
-              case LogRecordType::kIndexInsert: {
-                Index* index = IndexByFid(rec.fid);
-                if (index == nullptr) break;
-                index->table()->array().EnsureAllocatedThrough(rec.oid);
-                index->tree().Insert(Slice(rec.key), rec.oid, nullptr,
-                                     nullptr);
-                break;
-              }
-              default:
-                break;
-            }
-          }
-        });
-    ERMIA_RETURN_NOT_OK(scan_status);
-    RefreshOccSnapshot();
-    return Status::OK();
-  }
+  // Roll forward from the checkpoint (or the log start), one chunk at a time.
+  const LogChunk* chunk = nullptr;
+  size_t valid = 0;  // leading blocks of `chunk` with a valid payload
+  std::vector<size_t> first_bad(n);
+  std::vector<Status> errors(n);
 
-  ReplayPool<TailOp> pool(workers, &metrics_, [this](TailOp& op) -> Status {
-    const char* base = op.buf->data();
-    switch (op.type) {
-      case LogRecordType::kInsert:
-      case LogRecordType::kUpdate:
-        InstallRecovered(op.table, op.oid,
-                         Slice(base + op.payload_off, op.payload_size), false,
-                         op.clsn, op.payload_offset);
-        break;
-      case LogRecordType::kDelete:
-        InstallRecovered(op.table, op.oid, Slice(), true, op.clsn, 0);
-        break;
-      case LogRecordType::kIndexInsert:
-        op.table->array().EnsureAllocatedThrough(op.oid);
-        op.index->tree().Insert(Slice(base + op.key_off, op.key_size), op.oid,
-                                nullptr, nullptr);
-        break;
-      default:
-        break;
+  const std::function<void(uint32_t)> verify = [&](uint32_t w) {
+    size_t bad = chunk->blocks.size();
+    for (size_t i = w; i < bad; i += n) {
+      if (!chunk->blocks[i].PayloadValid()) bad = i;
     }
-    return Status::OK();
-  });
+    first_bad[w] = bad;
+  };
 
+  const std::function<void(uint32_t)> install = [&](uint32_t w) {
+    const auto t0 = Clock::now();
+    uint64_t installed = 0;
+    RecordView rec;
+    for (size_t i = 0; i < valid && errors[w].ok(); ++i) {
+      const ChunkBlock& b = chunk->blocks[i];
+      const uint64_t clsn_value = Lsn::Make(b.hdr.offset, 0).value();
+      RecordCursor cur(b.hdr.offset, b.payload, b.hdr.payload_bytes,
+                       b.hdr.num_records);
+      while (cur.Next(&rec)) {
+        switch (rec.type) {
+          case LogRecordType::kInsert:
+          case LogRecordType::kUpdate:
+          case LogRecordType::kDelete: {
+            if (OidPartition(rec.oid, n) != w) break;
+            Table* table = TableByFid(rec.fid);
+            if (table == nullptr) break;  // unknown fid: schema drift
+            if (rec.type == LogRecordType::kDelete) {
+              InstallRecovered(table, rec.oid, Slice(), true, clsn_value, 0);
+            } else {
+              InstallRecovered(table, rec.oid,
+                               Slice(rec.payload, rec.payload_size), false,
+                               clsn_value, rec.payload_offset);
+            }
+            ++installed;
+            break;
+          }
+          case LogRecordType::kIndexInsert: {
+            if (KeyPartition(rec.key, rec.key_size, n) != w) break;
+            Index* index = IndexByFid(rec.fid);
+            if (index == nullptr) break;
+            index->table()->array().EnsureAllocatedThrough(rec.oid);
+            index->tree().Insert(Slice(rec.key, rec.key_size), rec.oid,
+                                 nullptr, nullptr);
+            ++installed;
+            break;
+          }
+          default:
+            break;
+        }
+      }
+      errors[w] = cur.status();
+    }
+    ObserveBatch(this, installed, t0);
+  };
+
+  uint64_t verify_us = 0;
+  uint64_t install_us = 0;
+  Status replay_status;
+  const auto scan_t0 = Clock::now();
   Status scan_status =
-      scanner.ScanRaw(replay_from, [&](RawBlock&& raw) -> Status {
-        const uint64_t clsn_value = Lsn::Make(raw.offset, 0).value();
-        metrics_.Inc(metrics::Ctr::kRecoveryReplayBlocks);
-        metrics_.Inc(metrics::Ctr::kRecoveryReplayBytes,
-                     raw.end_offset - raw.offset);
-        auto buf = std::make_shared<const std::vector<char>>(
-            std::move(raw.payload));
-        RecordCursor cur(raw.offset, buf->data(), buf->size(),
-                         raw.num_records);
-        RecordView rec;
-        uint64_t nrecords = 0;
-        while (cur.Next(&rec)) {
-          ++nrecords;
-          TailOp op;
-          op.type = rec.type;
-          op.oid = rec.oid;
-          op.clsn = clsn_value;
-          switch (rec.type) {
-            case LogRecordType::kInsert:
-            case LogRecordType::kUpdate:
-            case LogRecordType::kDelete: {
-              op.table = TableByFid(rec.fid);
-              if (op.table == nullptr) continue;  // schema drift, skip
-              op.index = nullptr;
-              op.payload_offset =
-                  rec.type == LogRecordType::kDelete ? 0 : rec.payload_offset;
-              op.key_off = 0;
-              op.key_size = 0;
-              op.payload_off =
-                  static_cast<uint32_t>(rec.payload - buf->data());
-              op.payload_size = rec.payload_size;
-              op.buf = buf;
-              pool.Route(
-                  ChainPartition(rec.fid, rec.oid, pool.partitions()),
-                  std::move(op));
-              break;
-            }
-            case LogRecordType::kIndexInsert: {
-              op.index = IndexByFid(rec.fid);
-              if (op.index == nullptr) continue;
-              op.table = op.index->table();
-              op.payload_offset = 0;
-              op.key_off = static_cast<uint32_t>(rec.key - buf->data());
-              op.key_size = rec.key_size;
-              op.payload_off = 0;
-              op.payload_size = 0;
-              op.buf = buf;
-              pool.Route(KeyPartition(rec.fid, rec.key, rec.key_size,
-                                      pool.partitions()),
-                         std::move(op));
-              break;
-            }
-            default:
-              break;
+      scanner.ScanChunks(replay_from, [&](const LogChunk& c) -> size_t {
+        chunk = &c;
+        auto t0 = Clock::now();
+        crew.Run(verify);
+        valid = *std::min_element(first_bad.begin(), first_bad.end());
+        verify_us += MicrosSince(t0);
+        t0 = Clock::now();
+        crew.Run(install);
+        install_us += MicrosSince(t0);
+
+        uint64_t bytes = 0;
+        uint64_t records = 0;
+        for (size_t i = 0; i < valid; ++i) {
+          bytes += c.blocks[i].hdr.total_size;
+          records += c.blocks[i].hdr.num_records;
+        }
+        metrics_.Inc(metrics::Ctr::kRecoveryReplayBlocks, valid);
+        metrics_.Inc(metrics::Ctr::kRecoveryReplayBytes, bytes);
+        metrics_.Inc(metrics::Ctr::kRecoveryReplayRecords, records);
+        for (const Status& s : errors) {
+          if (!s.ok()) {
+            replay_status = s;
+            return 0;  // stop the scan
           }
         }
-        metrics_.Inc(metrics::Ctr::kRecoveryReplayRecords, nrecords);
-        return cur.status();
+        return valid;
       });
-  Status pool_status = pool.Finish();  // join workers even on a scan error
+  const uint64_t scan_us = MicrosSince(scan_t0);
+  metrics_.Inc(metrics::Ctr::kRecoveryVerifyUs, verify_us);
+  metrics_.Inc(metrics::Ctr::kRecoveryInstallUs, install_us);
+  metrics_.Inc(metrics::Ctr::kRecoveryReadUs,
+               scan_us - std::min(scan_us, verify_us + install_us));
   ERMIA_RETURN_NOT_OK(scan_status);
-  ERMIA_RETURN_NOT_OK(pool_status);
+  ERMIA_RETURN_NOT_OK(replay_status);
   RefreshOccSnapshot();
   return Status::OK();
 }
@@ -688,13 +581,9 @@ Status Database::RecoverImpl() {
 Status Database::Recover() {
   if (log_.in_memory()) return Status::OK();  // nothing durable to recover
   ERMIA_CHECK(open_);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   Status s = RecoverImpl();
-  metrics_.Inc(metrics::Ctr::kRecoveryDurationUs,
-               static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count()));
+  metrics_.Inc(metrics::Ctr::kRecoveryDurationUs, MicrosSince(t0));
   return s;
 }
 

@@ -9,14 +9,20 @@ void CompletionTracker::Mark(uint64_t begin, uint64_t end, bool has_data) {
   ERMIA_DCHECK(begin <= end);
   if (begin == end) return;
   std::lock_guard<std::mutex> g(mu_);
-  pending_.emplace(begin, Range{begin, end, has_data});
-  // Advance the contiguous frontier, moving newly contiguous ranges to the
-  // completed list the flusher consumes.
   uint64_t frontier = complete_until_.load(std::memory_order_relaxed);
+  if (begin != frontier) {
+    pending_.emplace(begin, Range{begin, end, has_data});
+    return;
+  }
+  // The common case — the range at the frontier — touches no map. Then
+  // advance over pending ranges that became contiguous, moving them to the
+  // completed list the flusher consumes.
+  completed_.push_back(Range{begin, end, has_data});
+  frontier = end;
   auto it = pending_.begin();
   while (it != pending_.end() && it->first == frontier) {
     frontier = it->second.end;
-    completed_.emplace(it->first, it->second);
+    completed_.push_back(it->second);
     it = pending_.erase(it);
   }
   complete_until_.store(frontier, std::memory_order_release);
@@ -32,16 +38,16 @@ std::vector<CompletionTracker::Range> CompletionTracker::TakeCompleted(
     uint64_t upto) {
   std::lock_guard<std::mutex> g(mu_);
   std::vector<Range> out;
-  auto it = completed_.begin();
-  while (it != completed_.end() && it->first < upto) {
-    Range r = it->second;
+  while (!completed_.empty() && completed_.front().begin < upto) {
+    Range& r = completed_.front();
     if (r.end > upto) {
       // Split: the caller only wants bytes below `upto`.
-      completed_.emplace(upto, Range{upto, r.end, r.has_data});
-      r.end = upto;
+      out.push_back(Range{r.begin, upto, r.has_data});
+      r.begin = upto;
+      break;
     }
     out.push_back(r);
-    it = completed_.erase(it);
+    completed_.pop_front();
   }
   return out;
 }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -54,8 +55,8 @@ class CompletionTracker {
   void Mark(uint64_t begin, uint64_t end, bool has_data);
 
   mutable std::mutex mu_;
-  std::map<uint64_t, Range> pending_;    // keyed by begin; disjoint
-  std::map<uint64_t, Range> completed_;  // below complete_until_, not consumed
+  std::map<uint64_t, Range> pending_;  // above the frontier, keyed by begin
+  std::deque<Range> completed_;        // below complete_until_, in order
   std::atomic<uint64_t> complete_until_;
 };
 

@@ -7,7 +7,10 @@
 #ifndef ERMIA_LOG_LOG_RECORD_H_
 #define ERMIA_LOG_LOG_RECORD_H_
 
+#include <cstddef>
 #include <cstdint>
+
+#include "common/crc32c.h"
 
 namespace ermia {
 
@@ -33,7 +36,7 @@ struct LogBlockHeader {
   uint32_t total_size;  // bytes covered by this block, header included
   uint32_t num_records;
   uint32_t payload_bytes;  // bytes of record data following the header
-  uint32_t checksum;       // FNV-1a over the record data
+  uint32_t checksum;       // LogChecksum of the record data
 };
 static_assert(sizeof(LogBlockHeader) == 32, "block header layout");
 
@@ -60,15 +63,11 @@ struct LogRecordHeader {
 };
 static_assert(sizeof(LogRecordHeader) == 20, "record header layout");
 
-// FNV-1a; cheap and adequate for torn-write detection in the recovery scan.
+// The checksum of log blocks and checkpoint files: CRC32C, which detects torn
+// writes and bit flips, and streams (crc32c::Extend) for writers that
+// produce their bytes piecewise.
 inline uint32_t LogChecksum(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 16777619u;
-  }
-  return h;
+  return crc32c::Value(data, n);
 }
 
 }  // namespace ermia

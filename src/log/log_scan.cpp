@@ -14,6 +14,9 @@ namespace ermia {
 
 namespace {
 constexpr uint64_t kHeaderSize = sizeof(LogBlockHeader);
+// Bytes per read: large enough that syscalls and the per-chunk handoff to
+// replay workers are noise, small enough to stay cache- and RSS-friendly.
+constexpr size_t kChunkBytes = size_t{4} << 20;
 }
 
 LogScanner::LogScanner(std::string dir) : dir_(std::move(dir)) {}
@@ -57,39 +60,6 @@ Status LogScanner::Init() {
   return Status::OK();
 }
 
-// Both Scan() and FindTail() truncate the log at the first block that fails
-// this predicate; anything beyond it is a torn write or stale bytes from a
-// previous incarnation, never acknowledged work (contiguous group flush).
-// `payload` is only filled for payload-bearing blocks.
-bool LogScanner::ReadValidBlock(const LogSegment& seg, uint64_t pos,
-                                uint64_t file_size, LogBlockHeader* hdr,
-                                std::vector<char>* payload) const {
-  if (pos + kHeaderSize > file_size) return false;
-  bool hard_error = false;
-  if (fault::PreadFull(seg.fd, hdr, sizeof *hdr, static_cast<off_t>(pos),
-                       &hard_error) != sizeof *hdr) {
-    return false;
-  }
-  const uint64_t seg_span = seg.end_offset - seg.start_offset;
-  if (hdr->magic != kLogBlockMagic || hdr->offset != seg.start_offset + pos ||
-      hdr->total_size < kHeaderSize || hdr->total_size > seg_span - pos) {
-    return false;
-  }
-  // Skip blocks carry no payload bytes on disk (the region past the header
-  // is never written), so they are valid on the header alone.
-  if (hdr->type == LogBlockType::kSkip) return true;
-  if (kHeaderSize + hdr->payload_bytes > hdr->total_size) return false;
-  if (pos + kHeaderSize + hdr->payload_bytes > file_size) return false;
-  payload->resize(hdr->payload_bytes);
-  if (hdr->payload_bytes > 0 &&
-      fault::PreadFull(seg.fd, payload->data(), hdr->payload_bytes,
-                       static_cast<off_t>(pos + kHeaderSize),
-                       &hard_error) != hdr->payload_bytes) {
-    return false;
-  }
-  return LogChecksum(payload->data(), payload->size()) == hdr->checksum;
-}
-
 RecordCursor::RecordCursor(uint64_t block_offset, const char* payload,
                            size_t payload_size, uint32_t num_records)
     : block_offset_(block_offset),
@@ -126,12 +96,12 @@ bool RecordCursor::Next(RecordView* out) {
   return true;
 }
 
-Status LogScanner::ScanRaw(uint64_t from_offset,
-                           const std::function<Status(RawBlock&&)>& cb) {
+Status LogScanner::ScanChunks(uint64_t from_offset, const ChunkFn& cb) {
+  std::vector<char> buf;
   bool stop = false;
   for (const auto& seg : segments_) {
     if (seg.end_offset <= from_offset) continue;
-    ERMIA_RETURN_NOT_OK(ScanSegment(seg, from_offset, cb, &stop));
+    ERMIA_RETURN_NOT_OK(ScanSegment(seg, from_offset, cb, &buf, &stop));
     if (stop) break;
   }
   return Status::OK();
@@ -139,87 +109,121 @@ Status LogScanner::ScanRaw(uint64_t from_offset,
 
 Status LogScanner::Scan(uint64_t from_offset,
                         const std::function<void(const ScannedBlock&)>& cb) {
-  return ScanRaw(from_offset, [&](RawBlock&& raw) -> Status {
-    ScannedBlock block;
-    block.offset = raw.offset;
-    block.end_offset = raw.end_offset;
-    block.records.reserve(raw.num_records);
-    RecordCursor cur(raw.offset, raw.payload.data(), raw.payload.size(),
-                     raw.num_records);
-    RecordView rv;
-    while (cur.Next(&rv)) {
-      ScannedRecord rec;
-      rec.type = rv.type;
-      rec.fid = rv.fid;
-      rec.oid = rv.oid;
-      rec.key.assign(rv.key, rv.key_size);
-      rec.payload.assign(rv.payload, rv.payload_size);
-      rec.payload_offset = rv.payload_offset;
-      block.records.push_back(std::move(rec));
+  Status status;
+  ERMIA_RETURN_NOT_OK(ScanChunks(from_offset, [&](const LogChunk& chunk) {
+    for (size_t i = 0; i < chunk.blocks.size(); ++i) {
+      const ChunkBlock& b = chunk.blocks[i];
+      if (!b.PayloadValid()) return i;
+      ScannedBlock block;
+      block.offset = b.hdr.offset;
+      block.end_offset = b.hdr.offset + b.hdr.total_size;
+      block.records.reserve(b.hdr.num_records);
+      RecordCursor cur(b.hdr.offset, b.payload, b.hdr.payload_bytes,
+                       b.hdr.num_records);
+      RecordView rv;
+      while (cur.Next(&rv)) {
+        ScannedRecord rec;
+        rec.type = rv.type;
+        rec.fid = rv.fid;
+        rec.oid = rv.oid;
+        rec.key.assign(rv.key, rv.key_size);
+        rec.payload.assign(rv.payload, rv.payload_size);
+        rec.payload_offset = rv.payload_offset;
+        block.records.push_back(std::move(rec));
+      }
+      if (!cur.status().ok()) {
+        status = cur.status();
+        return i;
+      }
+      cb(block);
     }
-    ERMIA_RETURN_NOT_OK(cur.status());
-    cb(block);
-    return Status::OK();
-  });
+    return chunk.blocks.size();
+  }));
+  return status;
 }
 
+// Walks one segment a chunk at a time. A chunk ends at its last whole block;
+// a block that straddles the read is read again at the start of the next
+// chunk (the buffer grows for a block larger than kChunkBytes).
 Status LogScanner::ScanSegment(const LogSegment& seg, uint64_t from_offset,
-                               const std::function<Status(RawBlock&&)>& cb,
+                               const ChunkFn& cb, std::vector<char>* buf,
                                bool* stop) {
   struct stat st;
   if (::fstat(seg.fd, &st) != 0) return Status::IOError("fstat failed");
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  const uint64_t seg_span = seg.end_offset - seg.start_offset;
 
   uint64_t pos = 0;
   if (from_offset > seg.start_offset) pos = from_offset - seg.start_offset;
 
-  LogBlockHeader hdr;
-  std::vector<char> payload;
+  LogChunk chunk;
+  uint64_t want = kChunkBytes;
   while (pos + kHeaderSize <= file_size) {
-    if (!ReadValidBlock(seg, pos, file_size, &hdr, &payload)) {
-      // First hole or torn block: everything beyond this point is not
-      // durably committed — the same truncation point FindTail() computes.
-      *stop = true;
-      return Status::OK();
+    const uint64_t len = std::min(want, file_size - pos);
+    if (buf->size() < len) buf->resize(len);
+    bool hard_error = false;
+    const uint64_t got = fault::PreadFull(seg.fd, buf->data(), len,
+                                          static_cast<off_t>(pos), &hard_error);
+    chunk.blocks.clear();
+    uint64_t q = 0;           // walk position within the chunk
+    bool torn = false;        // incoherent header: the log ends at q
+    uint64_t straddle = 0;    // bytes the block at q needs, if cut off
+    while (q + kHeaderSize <= got) {
+      ChunkBlock b{};
+      std::memcpy(&b.hdr, buf->data() + q, kHeaderSize);
+      const LogBlockHeader& h = b.hdr;
+      const uint64_t at = pos + q;
+      if (h.magic != kLogBlockMagic || h.offset != seg.start_offset + at ||
+          h.total_size < kHeaderSize || h.total_size > seg_span - at) {
+        torn = true;
+        break;
+      }
+      // Skip blocks carry no payload bytes on disk (the region past the
+      // header is never written), so they are valid on the header alone.
+      if (h.type != LogBlockType::kSkip) {
+        const uint64_t need = kHeaderSize + h.payload_bytes;
+        if (need > h.total_size || at + need > file_size) {
+          torn = true;
+          break;
+        }
+        if (q + need > got) {
+          straddle = need;
+          break;
+        }
+        b.payload = buf->data() + q + kHeaderSize;
+        chunk.blocks.push_back(b);
+      }
+      q += h.total_size;
     }
-    if (hdr.type == LogBlockType::kSkip) {
-      pos += hdr.total_size;
+    if (q == 0) {
+      // Nothing whole in this read: an incoherent first header, a short
+      // read, or a block larger than the buffer (then read it whole).
+      if (torn || straddle == 0 || got < len) break;
+      want = straddle;
       continue;
     }
-
-    RawBlock block;
-    block.offset = hdr.offset;
-    block.end_offset = hdr.offset + hdr.total_size;
-    block.num_records = hdr.num_records;
-    block.payload = std::move(payload);
-    pos += hdr.total_size;
-    ERMIA_RETURN_NOT_OK(cb(std::move(block)));
-    payload.clear();  // moved-from: reset for the next ReadValidBlock
+    chunk.end_offset = seg.start_offset + pos + q;
+    const size_t valid = cb(chunk);
+    if (torn || valid < chunk.blocks.size()) break;
+    pos += q;
+    want = kChunkBytes;
   }
+  *stop = pos + kHeaderSize <= file_size;
   return Status::OK();
 }
 
 uint64_t LogScanner::FindTail() {
   uint64_t tail =
       segments_.empty() ? kLogStartOffset : segments_.front().start_offset;
-  LogBlockHeader hdr;
-  std::vector<char> payload;
-  for (const auto& seg : segments_) {
-    struct stat st;
-    if (::fstat(seg.fd, &st) != 0) return tail;
-    const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-    uint64_t pos = 0;
-    while (pos + kHeaderSize <= file_size) {
-      // Same predicate as Scan(): a block whose header looks fine but whose
-      // payload is torn (missing bytes, checksum mismatch) must NOT advance
-      // the tail — adopting a tail past a torn block would make every block
-      // appended after reopen unreachable at the next recovery (Scan stops
-      // at the torn block, orphaning the reopened log's suffix).
-      if (!ReadValidBlock(seg, pos, file_size, &hdr, &payload)) return tail;
-      pos += hdr.total_size;
-      tail = seg.start_offset + pos;
+  (void)ScanChunks(0, [&](const LogChunk& chunk) {
+    size_t valid = 0;
+    while (valid < chunk.blocks.size() && chunk.blocks[valid].PayloadValid()) {
+      ++valid;
     }
-  }
+    tail = valid < chunk.blocks.size() ? chunk.blocks[valid].hdr.offset
+                                       : chunk.end_offset;
+    return valid;
+  });
   return tail;
 }
 

@@ -36,18 +36,27 @@ struct ScannedBlock {
   std::vector<ScannedRecord> records;
 };
 
-// A validated transaction block with its record bytes still in the single
-// buffer ReadValidBlock filled — no per-record copies. The parallel replay
-// dispatcher hands the buffer to install workers via shared ownership, so
-// record payloads are copied exactly once, into the Version allocation.
-struct RawBlock {
-  uint64_t offset;       // block start: the transaction's commit offset
-  uint64_t end_offset;   // one past the block (offset + total_size)
-  uint32_t num_records;
-  std::vector<char> payload;  // record data, checksum-verified
+// A transaction or checkpoint block inside a LogChunk. Its header passed the
+// coherence checks; its payload checksum is not verified yet, so callers
+// check PayloadValid() before trusting the records.
+struct ChunkBlock {
+  LogBlockHeader hdr;
+  const char* payload;  // hdr.payload_bytes record bytes, inside the chunk
+
+  bool PayloadValid() const {
+    return LogChecksum(payload, hdr.payload_bytes) == hdr.checksum;
+  }
 };
 
-// Borrowed view of one record inside a RawBlock's payload buffer.
+// One large read of a segment: the payload-bearing blocks it holds, in offset
+// order (skip blocks carry nothing and are left out). Payload pointers are
+// valid only while the callback that receives the chunk runs.
+struct LogChunk {
+  std::vector<ChunkBlock> blocks;
+  uint64_t end_offset;  // one past the last block walked, skip blocks included
+};
+
+// Borrowed view of one record inside a block's payload.
 struct RecordView {
   LogRecordType type;
   Fid fid;
@@ -59,9 +68,9 @@ struct RecordView {
   uint64_t payload_offset;  // durable log address of the payload bytes
 };
 
-// Walks the records of one raw block. Usage:
-//   RecordCursor cur(block.offset, block.payload.data(),
-//                    block.payload.size(), block.num_records);
+// Walks the records of one block. Usage:
+//   RecordCursor cur(b.hdr.offset, b.payload, b.hdr.payload_bytes,
+//                    b.hdr.num_records);
 //   RecordView rec;
 //   while (cur.Next(&rec)) { ... }
 //   ERMIA_RETURN_NOT_OK(cur.status());
@@ -99,20 +108,21 @@ class LogScanner {
   Status Scan(uint64_t from_offset,
               const std::function<void(const ScannedBlock&)>& cb);
 
-  // Like Scan, but hands each validated block to `cb` with its record bytes
-  // still in one buffer (moved to the callback). The parallel replay path
-  // parses records with RecordCursor and routes them without copying; Scan()
-  // is implemented on top of this.
-  Status ScanRaw(uint64_t from_offset,
-                 const std::function<Status(RawBlock&&)>& cb);
+  // Reads the log from `from_offset` in chunks of several MiB and hands each
+  // to `cb`, which returns how many of the chunk's leading blocks have a
+  // valid payload. The log ends at the first block with an incoherent header
+  // or, when `cb` returns fewer than all, at the first invalid payload:
+  // by construction (contiguous group flush) nothing durable lies beyond.
+  using ChunkFn = std::function<size_t(const LogChunk&)>;
+  Status ScanChunks(uint64_t from_offset, const ChunkFn& cb);
 
   // Random access read of payload bytes at a logical offset.
   Status ReadAt(uint64_t offset, void* dst, uint32_t size) const;
 
   // One past the last valid block in the durable log (the truncation point a
   // restarted log manager resumes appending from). kLogStartOffset if empty.
-  // Applies the same block-validity predicate (header coherence + payload
-  // checksum) as Scan(), so the adopted tail never lies past a torn block.
+  // Walks the same chunks as Scan(), so the adopted tail never lies past a
+  // torn block.
   uint64_t FindTail();
 
   const std::vector<LogSegment>& segments() const { return segments_; }
@@ -129,11 +139,8 @@ class LogScanner {
   }
 
  private:
-  bool ReadValidBlock(const LogSegment& seg, uint64_t pos, uint64_t file_size,
-                      LogBlockHeader* hdr, std::vector<char>* payload) const;
-
   Status ScanSegment(const LogSegment& seg, uint64_t from_offset,
-                     const std::function<Status(RawBlock&&)>& cb, bool* stop);
+                     const ChunkFn& cb, std::vector<char>* buf, bool* stop);
 
   std::string dir_;
   std::vector<LogSegment> segments_;  // ordered by start_offset, fds open

@@ -111,6 +111,14 @@ const char* CtrName(Ctr c) {
       return "recovery_checkpoint_entries";
     case Ctr::kRecoveryDurationUs:
       return "recovery_duration_us";
+    case Ctr::kRecoveryCheckpointUs:
+      return "recovery_checkpoint_us";
+    case Ctr::kRecoveryReadUs:
+      return "recovery_read_us";
+    case Ctr::kRecoveryVerifyUs:
+      return "recovery_verify_us";
+    case Ctr::kRecoveryInstallUs:
+      return "recovery_install_us";
     case Ctr::kTxnResPoolHits:
       return "txn_res_pool_hits";
     case Ctr::kTxnResPoolMisses:

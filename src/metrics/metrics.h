@@ -94,12 +94,19 @@ enum class Ctr : uint32_t {
   kGcPasses,
   kGcVersionsReclaimed,
   kGcItemsDeferred,
-  // Recovery (checkpoint load + log-tail replay; serial and parallel paths).
+  // Recovery (checkpoint load + log-tail replay). The *Us stage times are
+  // wall time on the recovering thread: checkpoint load, then per log chunk
+  // the read (I/O and header walk), verify and install steps; with the
+  // crew's start-up they add up to kRecoveryDurationUs.
   kRecoveryReplayBlocks,
   kRecoveryReplayRecords,
   kRecoveryReplayBytes,
   kRecoveryCheckpointEntries,
   kRecoveryDurationUs,
+  kRecoveryCheckpointUs,
+  kRecoveryReadUs,
+  kRecoveryVerifyUs,
+  kRecoveryInstallUs,
   // Transaction resource pool (txn/txn_resources.h).
   kTxnResPoolHits,
   kTxnResPoolMisses,
@@ -182,8 +189,8 @@ enum class Hist : uint32_t {
   kLogCommitWaitUs,     // synchronous-commit group-commit wait
   kGcChainLength,       // version-chain length at GC examination time
   kEpochReclaimBatch,   // deferred cleanups executed per RunReclaimers
-  kRecoveryBatchRecords,  // records per replay-worker batch (parallel path)
-  kRecoveryBatchUs,       // install time of one replay-worker batch
+  kRecoveryBatchRecords,  // records one worker installed from one chunk
+  kRecoveryBatchUs,       // time of one worker's install pass over one chunk
   kNumHists,
 };
 

@@ -403,14 +403,11 @@ uint32_t Transaction::BlockSizeForStaging() const {
   return static_cast<uint32_t>(sizeof(LogBlockHeader) + staging_.size());
 }
 
-// Emulates WAL-style per-operation logging (Fig. 10): every operation makes
-// its own round trip to the centralized log buffer. Benchmark-only mode: it
-// publishes records of transactions that may later abort, so recovery is not
-// supported with it.
-Status Transaction::FlushStagingAsBlock() {
-  ERMIA_PROF_LOG();
+// Serializes the staged records as one block at `lsn` (header, checksum,
+// records) into a per-thread buffer, reused so the commit path does not
+// allocate, and installs it into the reserved log space.
+void Transaction::InstallStagedBlock(Lsn lsn) {
   const uint32_t size = BlockSizeForStaging();
-  Lsn lsn = db_->log().ReserveBlock(size);
   thread_local std::vector<char> block;
   block.resize(size);
   LogBlockHeader hdr{};
@@ -424,6 +421,15 @@ Status Transaction::FlushStagingAsBlock() {
   std::memcpy(block.data(), &hdr, sizeof hdr);
   std::memcpy(block.data() + sizeof hdr, staging_.data(), staging_.size());
   db_->log().InstallBlock(lsn, block.data(), size);
+}
+
+// Emulates WAL-style per-operation logging (Fig. 10): every operation makes
+// its own round trip to the centralized log buffer. Benchmark-only mode: it
+// publishes records of transactions that may later abort, so recovery is not
+// supported with it.
+Status Transaction::FlushStagingAsBlock() {
+  ERMIA_PROF_LOG();
+  InstallStagedBlock(db_->log().ReserveBlock(BlockSizeForStaging()));
   staging_.clear();
   staged_records_ = 0;
   return Status::OK();
@@ -450,20 +456,6 @@ Lsn Transaction::ClaimCommitStamp() {
 
 void Transaction::InstallCommitBlock(Lsn lsn) {
   ERMIA_PROF_LOG();
-  const uint32_t size = BlockSizeForStaging();
-  // Reused per worker: commit-path serialization should not allocate.
-  thread_local std::vector<char> block;
-  block.resize(size);
-  LogBlockHeader hdr{};
-  hdr.magic = kLogBlockMagic;
-  hdr.type = LogBlockType::kTxn;
-  hdr.offset = lsn.offset();
-  hdr.total_size = (size + 31u) & ~31u;
-  hdr.num_records = staged_records_;
-  hdr.payload_bytes = static_cast<uint32_t>(staging_.size());
-  hdr.checksum = LogChecksum(staging_.data(), staging_.size());
-  std::memcpy(block.data(), &hdr, sizeof hdr);
-  std::memcpy(block.data() + sizeof hdr, staging_.data(), staging_.size());
   // Durable addresses: each new version's payload lives right after its
   // record header inside this block.
   if (!db_->config().log_per_operation) {
@@ -472,7 +464,7 @@ void Transaction::InstallCommitBlock(Lsn lsn) {
           lsn.offset() + sizeof(LogBlockHeader) + w.staging_payload_off;
     }
   }
-  db_->log().InstallBlock(lsn, block.data(), size);
+  InstallStagedBlock(lsn);
 }
 
 void Transaction::PostCommit(Lsn clsn) {

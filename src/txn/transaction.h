@@ -146,6 +146,9 @@ class Transaction {
                      const Slice& value, uint32_t* payload_off);
   Status FlushStagingAsBlock();  // per-operation logging mode (Fig. 10)
   uint32_t BlockSizeForStaging() const;
+  // Writes the staged records as one checksummed block into space reserved
+  // at `lsn` (shared by commit and per-operation logging).
+  void InstallStagedBlock(Lsn lsn);
   // Single fetch_add: claims the commit stamp and the log space (§3.3).
   Lsn ReserveCommitBlock();
   // SI/OCC/2PL pre-commit: publishes kCommitting with the pending sentinel,

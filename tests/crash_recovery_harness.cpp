@@ -25,17 +25,18 @@
 //          at all), or by a later possibly-durable delete intent.
 //      Point reads, a full range scan, and spot checks under every CC
 //      scheme must agree.
-//   3. Differential replay: the first recovery runs the partitioned parallel
-//      pipeline (ERMIA_RECOVERY_THREADS workers, default 4); the directory is
-//      then reopened with recovery_threads=1 (the legacy serial path) and the
-//      visible state must match byte-for-byte. Any routing or ordering bug in
-//      the parallel path shows up as a divergence against the serial oracle.
+//   3. Differential replay: the first recovery runs
+//      ERMIA_RECOVERY_THREADS replay workers (default 4); the directory is
+//      then reopened with recovery_threads=1 — the same replay path with one
+//      worker — and the visible state must match byte-for-byte. Any
+//      partitioning or ordering bug shows up as a divergence between 1 and N
+//      workers.
 //   4. The torn-tail regression closes the loop: the parent appends fresh
 //      commits to the recovered database, restarts, and recovers AGAIN
-//      (parallel again, exercising mixed serial/parallel restarts). With
-//      the old header-only FindTail, a torn tail made the reopened log adopt
-//      a tail past the torn block and this second recovery silently lost the
-//      post-crash commits.
+//      (with N workers again, on a log last reopened by a 1-worker
+//      recovery). With the old header-only FindTail, a torn tail made the
+//      reopened log adopt a tail past the torn block and this second
+//      recovery silently lost the post-crash commits.
 //
 // The sweep runs seeds base..base+31 (ERMIA_CRASH_SEED_BASE overrides the
 // base; ERMIA_CRASH_SEEDS limits the count for quick local runs). On
@@ -384,7 +385,7 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
 
   const Journal j = ParseJournal(raw);
 
-  // ---- first recovery: partitioned parallel replay ----
+  // ---- first recovery: N replay workers ----
   EngineConfig rconfig = WorkloadConfig(dir, e);
   rconfig.recovery_threads = 4;
   if (const char* env = ::getenv("ERMIA_RECOVERY_THREADS")) {
@@ -495,15 +496,15 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
     }
   }
 
-  // ---- differential replay: serial recovery must agree byte-for-byte ----
-  // Reopen the same directory with recovery_threads=1 (the legacy serial
-  // path). Per-OID chain routing plus the checkpoint/tail barrier make the
-  // parallel pipeline serial-equivalent by construction; this check pins the
-  // claim on every seed's torn/checkpointed/rotated log shape.
+  // ---- differential replay: 1 worker must agree byte-for-byte ----
+  // Reopen the same directory with recovery_threads=1. Per-OID and per-key
+  // partitioning plus the checkpoint/tail barrier make N workers equivalent
+  // to one by construction; this check pins the claim on every seed's
+  // torn/checkpointed/rotated log shape.
   db.reset();
-  EngineConfig serial_config = rconfig;
-  serial_config.recovery_threads = 1;
-  db = std::make_unique<Database>(serial_config);
+  EngineConfig one_worker_config = rconfig;
+  one_worker_config.recovery_threads = 1;
+  db = std::make_unique<Database>(one_worker_config);
   table = db->CreateTable("kv");
   pk = db->CreateIndex(table, "kv_pk");
   sec = db->CreateIndex(table, "kv_sec");
@@ -520,14 +521,14 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
                     .ok());
     EXPECT_TRUE(txn.Commit().ok());
     EXPECT_EQ(scanned, present)
-        << "serial replay disagrees with parallel replay";
+        << "1-worker replay disagrees with N-worker replay";
   }
   for (const auto& [key, value] : present) {
     Transaction txn(db.get(), CcScheme::kSi);
     Slice v;
     ASSERT_TRUE(txn.Get(pk, key, &v).ok())
-        << key << " visible after parallel replay but not serial";
-    EXPECT_EQ(v.ToString(), value) << key << ": serial/parallel divergence";
+        << key << " visible after N-worker replay but not 1-worker";
+    EXPECT_EQ(v.ToString(), value) << key << ": 1/N-worker divergence";
     ASSERT_TRUE(txn.Commit().ok());
   }
 

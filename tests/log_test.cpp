@@ -1,14 +1,17 @@
-// Tests for the log subsystem (§3.3): LSN encoding, completion tracking,
-// ring buffer wraps, single-fetch-add reservation, segment rotation with skip
-// records and dead zones, durability, concurrent reservation properties, and
-// the recovery scan with torn tails.
+// Tests for the log subsystem (§3.3): the CRC32C block checksum, LSN
+// encoding, completion tracking, ring buffer wraps, single-fetch-add
+// reservation, segment rotation with skip records and dead zones,
+// durability, concurrent reservation properties, and the recovery scan with
+// torn tails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "log/log_manager.h"
 #include "log/log_scan.h"
@@ -16,6 +19,60 @@
 
 namespace ermia {
 namespace {
+
+// Known answers: "123456789" is the CRC catalogue's check value; the 32-byte
+// vectors are RFC 3720 (iSCSI) appendix B.4.
+TEST(LogChecksumTest, Crc32cKnownAnswers) {
+  EXPECT_EQ(LogChecksum("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::ExtendTable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(LogChecksum(nullptr, 0), 0u);
+  std::vector<uint8_t> zeros(32, 0), ones(32, 0xFF), ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(LogChecksum(zeros.data(), 32), 0x8A9136AAu);
+  EXPECT_EQ(LogChecksum(ones.data(), 32), 0x62A8AB43u);
+  EXPECT_EQ(LogChecksum(ascending.data(), 32), 0x46DD794Eu);
+}
+
+std::vector<char> RandomBytes(FastRandom& rng, size_t n) {
+  std::vector<char> buf(n);
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  return buf;
+}
+
+// Folding a buffer in over any split gives the one-shot checksum, which is
+// what lets the checkpoint writer checksum field by field.
+TEST(LogChecksumTest, StreamingExtendMatchesOneShot) {
+  FastRandom rng(19);
+  const std::vector<char> buf = RandomBytes(rng, 5000);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t len = rng.UniformU64(0, buf.size());
+    uint32_t crc = 0;
+    size_t pos = 0;
+    while (pos < len) {
+      const size_t piece = rng.UniformU64(1, std::min<size_t>(len - pos, 97));
+      crc = crc32c::Extend(crc, buf.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc, LogChecksum(buf.data(), len)) << "len " << len;
+  }
+}
+
+// The SSE4.2 and table implementations agree on every length and alignment.
+TEST(LogChecksumTest, Sse42AndTableAgree) {
+  if (!crc32c::HasSse42()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  FastRandom rng(23);
+  const std::vector<char> buf = RandomBytes(rng, 4096 + 16);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t start = rng.UniformU64(0, 15);
+    const size_t len = rng.UniformU64(0, 4096);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(crc32c::ExtendSse42(seed, buf.data() + start, len),
+              crc32c::ExtendTable(seed, buf.data() + start, len))
+        << "start " << start << " len " << len;
+  }
+}
 
 TEST(LsnTest, EncodeDecode) {
   Lsn lsn = Lsn::Make(0x121A0, 0xA);
@@ -72,6 +129,54 @@ TEST(CompletionTrackerTest, TakeSplitsAtBoundary) {
   ranges = t.TakeCompleted(100);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].begin, 60u);
+}
+
+// Property: however ranges arrive, the taken ranges tile the offset space
+// in order, keep their data/hole flag, and never pass complete_until().
+TEST(CompletionTrackerTest, ShuffledMarksTakeBackContiguously) {
+  FastRandom rng(31);
+  constexpr int kRanges = 500;
+  std::vector<CompletionTracker::Range> ranges;
+  uint64_t pos = 0;
+  for (int i = 0; i < kRanges; ++i) {
+    const uint64_t len = 32 * rng.UniformU64(1, 8);
+    ranges.push_back({pos, pos + len, rng.Bernoulli(0.8)});
+    pos += len;
+  }
+  // Shuffle within small windows, as concurrent committers would.
+  std::vector<CompletionTracker::Range> order = ranges;
+  for (size_t i = 0; i + 1 < order.size(); ++i) {
+    const size_t j = i + rng.UniformU64(0, std::min<size_t>(5, order.size() - 1 - i));
+    std::swap(order[i], order[j]);
+  }
+  CompletionTracker t(0);
+  std::vector<CompletionTracker::Range> taken;
+  for (const auto& r : order) {
+    if (r.has_data) {
+      t.MarkData(r.begin, r.end);
+    } else {
+      t.MarkHole(r.begin, r.end);
+    }
+    if (rng.Bernoulli(0.3)) {
+      const uint64_t upto = rng.UniformU64(0, t.complete_until());
+      auto got = t.TakeCompleted(upto);
+      taken.insert(taken.end(), got.begin(), got.end());
+    }
+  }
+  ASSERT_EQ(t.complete_until(), pos);
+  auto rest = t.TakeCompleted(pos);
+  taken.insert(taken.end(), rest.begin(), rest.end());
+  uint64_t expect = 0;
+  size_t src = 0;
+  for (const auto& r : taken) {
+    ASSERT_EQ(r.begin, expect);
+    ASSERT_LT(r.begin, r.end);
+    while (ranges[src].end <= r.begin) ++src;
+    ASSERT_LE(r.end, ranges[src].end);  // a piece of one marked range
+    EXPECT_EQ(r.has_data, ranges[src].has_data);
+    expect = r.end;
+  }
+  EXPECT_EQ(expect, pos);
 }
 
 TEST(LogRingBufferTest, WrapAroundPreservesBytes) {

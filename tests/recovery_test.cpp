@@ -7,6 +7,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,9 +21,8 @@ namespace ermia {
 namespace {
 
 // Parameterized over recovery_threads: every scenario (checkpoint fallback,
-// torn tail, segment rotation, ...) runs on both the legacy
-// serial path (1) and the partitioned parallel path (4), which must be
-// state-equivalent by construction.
+// torn tail, segment rotation, ...) runs with 1, 3 and 4 replay workers of
+// the one replay path. Three workers split the OID stripes unevenly.
 class RecoveryTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
@@ -111,6 +113,41 @@ class RecoveryTest : public ::testing::TestWithParam<uint32_t> {
     ASSERT_GE(fd, 0);
     ASSERT_EQ(::write(fd, block.data(), 100), 100);  // torn after the header
     ::close(fd);
+  }
+
+  // Every (key, value) pair visible through each index, in key order.
+  using Digest = std::vector<std::map<std::string, std::string>>;
+  Digest TakeDigest() {
+    Digest d;
+    for (Index* index : {pk_, sec_}) {
+      Transaction txn(db_->get(), CcScheme::kSi);
+      std::map<std::string, std::string> kv;
+      EXPECT_TRUE(txn.Scan(index, "", "", -1,
+                           [&](const Slice& k, const Slice& v) {
+                             kv[k.ToString()] = v.ToString();
+                             return true;
+                           })
+                      .ok());
+      EXPECT_TRUE(txn.Commit().ok());
+      d.push_back(std::move(kv));
+    }
+    return d;
+  }
+
+  uint64_t ReplayedRecords() {
+    return (*db_)->SnapshotMetrics().counter(
+        metrics::Ctr::kRecoveryReplayRecords);
+  }
+
+  // Re-creates the schema and opens the database without recovering, so a
+  // test can change the log Open() has adopted before Recover() reads it.
+  void ReopenWithoutRecovery() {
+    db_->ShutDown();
+    db_->Restart(config_);
+    table_ = (*db_)->CreateTable("t");
+    pk_ = (*db_)->CreateIndex(table_, "t_pk");
+    sec_ = (*db_)->CreateIndex(table_, "t_sec");
+    ASSERT_TRUE((*db_)->Open().ok());
   }
 
   void CorruptFileByte(const std::string& path, off_t at) {
@@ -487,6 +524,155 @@ TEST_P(RecoveryTest, DeletedKeyReinsertedAfterCheckpointRecovers) {
   EXPECT_EQ(Get(pk_, "k"), "v2");
 }
 
+// ---- replay across chunks and workers --------------------------------------
+
+// A block whose payload fails its checksum in the middle of the log ends the
+// log there: no block after it is installed, although with several workers
+// the later blocks of the same read chunk pass verification on other
+// workers. The corruption is made after Open() adopted the log, so it is
+// Recover()'s own scan that must stop.
+TEST_P(RecoveryTest, CorruptMidLogBlockStopsReplayThere) {
+  constexpr int kN = 64;
+  constexpr int kBad = 41;
+  for (int i = 0; i < kN; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "m%03d", i);
+    Put(key, "value" + std::to_string(i));
+  }
+  db_->ShutDown();
+
+  std::vector<ScannedBlock> blocks;
+  {
+    LogScanner scanner(db_->dir());
+    ASSERT_TRUE(scanner.Init().ok());
+    ASSERT_TRUE(scanner
+                    .Scan(kLogStartOffset,
+                          [&](const ScannedBlock& b) { blocks.push_back(b); })
+                    .ok());
+  }
+  ASSERT_EQ(blocks.size(), static_cast<size_t>(kN));  // one block per Put
+  uint64_t records_before_bad = 0;
+  for (int i = 0; i < kBad; ++i) records_before_bad += blocks[i].records.size();
+
+  ReopenWithoutRecovery();
+  LogScanner scanner(db_->dir());
+  ASSERT_TRUE(scanner.Init().ok());
+  ASSERT_EQ(scanner.segments().size(), 1u);  // all blocks in one read chunk
+  const LogSegment& seg = scanner.segments().front();
+  CorruptFileByte(seg.path, static_cast<off_t>(blocks[kBad].offset -
+                                               seg.start_offset +
+                                               sizeof(LogBlockHeader) + 3));
+  ASSERT_TRUE((*db_)->Recover().ok());
+
+  EXPECT_EQ(ReplayedRecords(), records_before_bad);
+  for (int i = 0; i < kN; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "m%03d", i);
+    EXPECT_EQ(Get(pk_, key),
+              i < kBad ? "value" + std::to_string(i) : "<NOT_FOUND>")
+        << key;
+  }
+}
+
+// Blocks that straddle a read-chunk boundary, and a block larger than a
+// whole chunk, replay like any other.
+TEST_P(RecoveryTest, BlocksAcrossReadChunksReplay) {
+  constexpr size_t kReadChunk = size_t{4} << 20;  // the scanner's read size
+  config_.log_buffer_size = 32 << 20;  // admits blocks up to 8 MiB
+  Restart();
+  const std::string value(4000, 'c');
+  for (int t = 0; t < 40; ++t) {  // ~4.9 MiB in ~120 KiB blocks
+    Transaction txn(db_->get(), CcScheme::kSi);
+    for (int i = 0; i < 30; ++i) {
+      const std::string key = "c" + std::to_string(t * 100 + i);
+      ASSERT_TRUE(txn.Insert(table_, pk_, key, key + value, nullptr).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {
+    Transaction txn(db_->get(), CcScheme::kSi);  // one ~5 MiB block
+    for (int i = 0; i < 50; ++i) {
+      const std::string key = "big" + std::to_string(i);
+      ASSERT_TRUE(txn.Insert(table_, pk_, key,
+                             key + std::string(100 << 10, 'b'), nullptr)
+                      .ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  Put("after", "big");
+  const Digest before = TakeDigest();
+  db_->ShutDown();
+
+  // The log really does cross read chunks, and one block exceeds a chunk.
+  {
+    LogScanner scanner(db_->dir());
+    ASSERT_TRUE(scanner.Init().ok());
+    size_t chunks = 0;
+    uint32_t largest = 0;
+    ASSERT_TRUE(scanner
+                    .ScanChunks(kLogStartOffset,
+                                [&](const LogChunk& c) {
+                                  ++chunks;
+                                  for (const ChunkBlock& b : c.blocks) {
+                                    largest = std::max(largest,
+                                                       b.hdr.payload_bytes);
+                                  }
+                                  return c.blocks.size();
+                                })
+                    .ok());
+    EXPECT_GE(chunks, 3u);
+    EXPECT_GT(largest, kReadChunk);
+  }
+
+  Restart();
+  EXPECT_EQ(TakeDigest(), before);
+  EXPECT_EQ(Get(pk_, "after"), "big");
+}
+
+// Replay with N workers produces exactly the state and record count of one
+// worker, over a log with checkpoints, rotated segments, updates, deletes,
+// reinserts and a secondary index, across several OID stripes.
+TEST_P(RecoveryTest, WorkerCountDoesNotChangeReplay) {
+  config_.log_segment_size = 1 << 18;
+  Restart();
+
+  constexpr int kKeys = 5000;  // OIDs span five 1024-OID stripes
+  auto key_of = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "w%05d", i);
+    return std::string(key);
+  };
+  for (int base = 0; base < kKeys; base += 250) {
+    Transaction txn(db_->get(), CcScheme::kSi);
+    for (int i = base; i < base + 250; ++i) {
+      Oid oid = 0;
+      ASSERT_TRUE(txn.Insert(table_, pk_, key_of(i), "v" + std::to_string(i),
+                             &oid)
+                      .ok());
+      if (i % 3 == 0) {
+        ASSERT_TRUE(txn.InsertIndexEntry(sec_, "s" + key_of(i), oid).ok());
+      }
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    if (base == 2500) ASSERT_TRUE((*db_)->TakeCheckpoint(nullptr).ok());
+  }
+  for (int i = 0; i < kKeys; i += 7) Put(key_of(i), "u" + std::to_string(i));
+  for (int i = 0; i < kKeys; i += 11) Delete(key_of(i));
+  for (int i = 0; i < kKeys; i += 22) Put(key_of(i), "r" + std::to_string(i));
+  const Digest before = TakeDigest();
+
+  config_.recovery_threads = 1;
+  Restart();
+  const Digest one = TakeDigest();
+  const uint64_t one_records = ReplayedRecords();
+  config_.recovery_threads = GetParam();
+  Restart();
+  EXPECT_EQ(TakeDigest(), one);
+  EXPECT_EQ(ReplayedRecords(), one_records);
+  EXPECT_EQ(one, before);
+  EXPECT_GT(one_records, 0u);
+}
+
 // ---- post-recovery visibility across CC schemes ---------------------------
 
 TEST_P(RecoveryTest, TombstonesInvisibleToAllSchemesAfterRecovery) {
@@ -618,7 +804,7 @@ TEST(PerOperationLogTest, NormalSegmentsCarryNoStamp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, RecoveryTest,
-                         ::testing::Values(1u, 4u),
+                         ::testing::Values(1u, 3u, 4u),
                          [](const ::testing::TestParamInfo<uint32_t>& info) {
                            return info.param == 1
                                       ? std::string("Serial")
