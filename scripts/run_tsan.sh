@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive suites, built with
-# -DERMIA_SANITIZE=thread. The SSN parallel-commit protocol is latch-free, so
-# its correctness rests on the memory orderings TSan checks here.
+# -DERMIA_SANITIZE=thread. The SSN parallel-commit protocol is latch-free, and
+# the log flusher reads ring bytes that producers publish only through the
+# completion frontier, so their correctness rests on the memory orderings
+# TSan checks here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,14 +13,15 @@ cmake --build "$BUILD_DIR" -j --target \
   cc_ssn_test cc_ssn_parallel_test txn_semantics_test concurrency_test \
   metrics_test trace_test version_alloc_test ssn_readopt_test \
   serializability_stress_test crash_recovery_harness \
-  degraded_mode_test governor_test
+  degraded_mode_test governor_test log_test log_edge_test
 
 # tsan.supp waives only the optimistic-lock-coupling reads in the B+-tree
 # (benign by protocol: validated against the node version word and retried).
 export TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1 suppressions=$PWD/tsan.supp"}
 for t in cc_ssn_test cc_ssn_parallel_test txn_semantics_test concurrency_test \
          metrics_test trace_test version_alloc_test ssn_readopt_test \
-         serializability_stress_test degraded_mode_test governor_test; do
+         serializability_stress_test degraded_mode_test governor_test \
+         log_test log_edge_test; do
   echo "=== $t (tsan) ==="
   "$BUILD_DIR/tests/$t"
 done

@@ -77,11 +77,6 @@ Database::Database(EngineConfig config)
   // by (slot, generation); detached in ~Database before members die.
   VersionAllocator::Instance().AttachEpoch(&gc_epoch_);
   gc_epoch_.set_metrics(&metrics_);
-  rcu_epoch_.set_metrics(&metrics_);
-  tid_epoch_.set_metrics(&metrics_);
-  gc_epoch_.set_trace_tag(0);
-  rcu_epoch_.set_trace_tag(1);
-  tid_epoch_.set_trace_tag(2);
   gc_ = std::make_unique<GarbageCollector>(
       &gc_epoch_,
       [this] {
@@ -157,12 +152,6 @@ Status Database::Open() {
         trace::Emit(trace::Event::kSafeSnapshotPublish, 0, safe,
                     safesnap_.GetStats().burnt);
       }
-      // Keep the finer-grained epoch managers ticking (paper §3.4: multiple
-      // timelines at different granularities).
-      tid_epoch_.Advance();
-      tid_epoch_.RunReclaimers();
-      rcu_epoch_.Advance();
-      rcu_epoch_.RunReclaimers();
       if (governor_ != nullptr) {
         // AIMD control tick: feed cumulative commit/abort counts; the
         // governor diffs them internally. Sum() walks the shards with
@@ -186,7 +175,7 @@ Status Database::Open() {
             std::chrono::milliseconds(config_.checkpoint_interval_ms));
         if (stop_daemons_.load(std::memory_order_acquire)) break;
         if (TakeCheckpoint(nullptr).ok()) {
-          checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.Inc(metrics::Ctr::kCheckpointsTaken);
         }
       }
       ThreadRegistry::Deregister();
@@ -284,41 +273,6 @@ Table* Database::TableByFid(Fid fid) const {
     return nullptr;
   }
   return static_cast<Table*>(by_fid_[fid - 1]);
-}
-
-DatabaseStats Database::GetStats() const {
-  // See the DatabaseStats comment for snapshot semantics: per-counter
-  // monotone, not a consistent cut. Counters available in the sharded
-  // registry come from one metrics snapshot so that e.g.
-  // gc_versions_reclaimed here always agrees with the same snapshot's
-  // kGcVersionsReclaimed (both are fed from GarbageCollector::RunOnce).
-  const metrics::MetricsSnapshot m = SnapshotMetrics();
-  DatabaseStats s;
-  s.log_current_offset = log_.CurrentOffset();
-  s.log_durable_offset = log_.DurableOffset();
-  s.log_flushes = m.counter(metrics::Ctr::kLogFlushes);
-  s.log_flushed_bytes = m.counter(metrics::Ctr::kLogFlushedBytes);
-  s.log_blocks_installed = m.counter(metrics::Ctr::kLogBlocksInstalled);
-  s.log_skip_blocks = log_.skip_blocks();
-  s.log_dead_zone_bytes = log_.dead_zone_bytes();
-  s.log_segment_rotations = log_.segment_rotations();
-  s.txn_commits = m.counter(metrics::Ctr::kTxnCommits);
-  s.txn_aborts = m.aborts_total();
-  s.gc_passes = m.counter(metrics::Ctr::kGcPasses);
-  s.gc_versions_reclaimed = gc_->total_reclaimed();
-  s.epoch_advances = m.counter(metrics::Ctr::kEpochAdvances);
-  s.tid_active_txns = m.counter(metrics::Ctr::kTidActiveTxns);
-  s.tid_occupancy_hwm = m.counter(metrics::Ctr::kTidOccupancyHwm);
-  s.index_node_splits = m.counter(metrics::Ctr::kIndexNodeSplits);
-  s.index_read_retries = m.counter(metrics::Ctr::kIndexReadRetries);
-  s.occ_snapshot_offset = occ_snapshot_.load(std::memory_order_acquire);
-  s.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  {
-    SpinLatchGuard g(catalog_latch_);
-    s.num_tables = table_list_.size();
-    s.num_indexes = index_list_.size();
-  }
-  return s;
 }
 
 metrics::MetricsSnapshot Database::SnapshotMetrics() const {

@@ -35,41 +35,6 @@ namespace ermia {
 class OverloadGovernor;
 class Watchdog;
 
-// Aggregate engine counters for monitoring and tests.
-//
-// Snapshot semantics: every field is read with relaxed (or acquire, for log
-// offsets) loads and no cross-field synchronization. Each individual counter
-// is monotonically non-decreasing across successive GetStats() calls, and its
-// value lies between the true value at the start and at the end of the call —
-// but the struct as a whole is NOT a consistent cut: two counters bumped by
-// one event (e.g. a flush advancing both log_flushes and log_durable_offset)
-// may disagree by in-flight increments. Counters sourced from the sharded
-// metrics registry (aborts, flushes, gc_versions_reclaimed) follow the same
-// per-counter-monotone contract; see src/metrics/metrics.h.
-struct DatabaseStats {
-  uint64_t log_current_offset = 0;
-  uint64_t log_durable_offset = 0;
-  uint64_t log_flushes = 0;
-  uint64_t log_flushed_bytes = 0;
-  uint64_t log_blocks_installed = 0;
-  uint64_t log_skip_blocks = 0;
-  uint64_t log_dead_zone_bytes = 0;
-  uint64_t log_segment_rotations = 0;
-  uint64_t txn_commits = 0;
-  uint64_t txn_aborts = 0;
-  uint64_t gc_passes = 0;
-  uint64_t gc_versions_reclaimed = 0;
-  uint64_t epoch_advances = 0;
-  uint64_t tid_active_txns = 0;      // gauge, not monotone
-  uint64_t tid_occupancy_hwm = 0;
-  uint64_t index_node_splits = 0;
-  uint64_t index_read_retries = 0;
-  uint64_t occ_snapshot_offset = 0;
-  uint64_t checkpoints_taken = 0;
-  size_t num_tables = 0;
-  size_t num_indexes = 0;
-};
-
 class Database {
  public:
   explicit Database(EngineConfig config);
@@ -113,12 +78,11 @@ class Database {
   Status DumpTrace(const std::string& path);
 
   // ---- introspection ----
-  DatabaseStats GetStats() const;
-
   // Full metrics snapshot: sharded counters/histograms summed with relaxed
   // loads, profiling cycles, and point-in-time gauges (index splits, TID
-  // occupancy, epoch boundary lag) overlaid. Same per-counter-monotone,
-  // no-consistent-cut contract as GetStats().
+  // occupancy, epoch boundary lag) overlaid. Each counter is monotone across
+  // snapshots, but the snapshot is not a consistent cut: two counters bumped
+  // by one event may disagree by in-flight increments.
   metrics::MetricsSnapshot SnapshotMetrics() const;
 
   metrics::EngineMetrics& metrics() { return metrics_; }
@@ -130,8 +94,6 @@ class Database {
   RecordLockTable& lock_table() { return lock_table_; }
   GarbageCollector& gc() { return *gc_; }
   EpochManager& gc_epoch() { return gc_epoch_; }
-  EpochManager& rcu_epoch() { return rcu_epoch_; }
-  EpochManager& tid_epoch() { return tid_epoch_; }
   const EngineConfig& config() const { return config_; }
 
   // Read-only snapshot offset for OCC (Silo's snapshot mechanism): refreshed
@@ -185,17 +147,15 @@ class Database {
   SsnReaderRegistry ssn_readers_;
   SafeSnapshotManager safesnap_;
   RecordLockTable lock_table_;  // 2PL baseline only
-  EpochManager gc_epoch_;   // version reclamation (coarse timescale)
-  EpochManager rcu_epoch_;  // structure memory (medium timescale)
-  EpochManager tid_epoch_;  // TID-table generations (fine timescale)
+  EpochManager gc_epoch_;  // version reclamation
   std::unique_ptr<GarbageCollector> gc_;
   std::unique_ptr<metrics::Reporter> reporter_;  // opt-in via config
   std::unique_ptr<OverloadGovernor> governor_;   // opt-in via config
   std::unique_ptr<Watchdog> watchdog_;           // created in Open()
 
   // Guards the catalog vectors/maps below against the one legal concurrency:
-  // schema creation racing an engine-internal stats snapshot (Reporter
-  // daemon, GetStats from another thread). Worker-side lookups (GetTable,
+  // schema creation racing a metrics snapshot (Reporter daemon,
+  // SnapshotMetrics from another thread). Worker-side lookups (GetTable,
   // TableByFid) stay latch-free under the documented contract that schema is
   // complete before transactions start.
   mutable SpinLatch catalog_latch_;
@@ -214,7 +174,6 @@ class Database {
   std::atomic<bool> stop_daemons_{true};
   std::atomic<uint64_t> occ_snapshot_{kLogStartOffset};
   std::atomic<uint64_t> gc_trim_bound_{0};
-  std::atomic<uint64_t> checkpoints_taken_{0};
   bool open_ = false;
   // True if this Database enabled the (process-global) flight recorder in
   // Open(); only the owner resets the mode on Close().

@@ -72,7 +72,7 @@ Epoch EpochManager::Advance() {
   if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kEpochAdvances);
   const Epoch e = epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
   if (ERMIA_UNLIKELY(trace::Active())) {
-    trace::Emit(trace::Event::kEpochAdvance, 0, trace_tag_, e);
+    trace::Emit(trace::Event::kEpochAdvance, 0, e, 0);
   }
   return e;
 }

@@ -1,10 +1,11 @@
 // Copyright (c) ERMIA reproduction authors. Licensed under the MIT license.
 //
-// Three-epoch resource manager (paper §3.4). ERMIA instantiates several of
-// these at different timescales: one for garbage collection of dead versions,
-// one for RCU-style reclamation of index nodes and indirection-array chunks,
-// and a very fine-grained one guarding TID-table generations and log segment
-// recycling.
+// Three-epoch resource manager (paper §3.4). The paper runs several of these
+// at different timescales; this engine needs one, Database::gc_epoch_, which
+// guards the reclamation of dead versions. B+-tree nodes and indirection
+// chunks live as long as their structure, TID slots detect reuse with
+// generation counts, and segment files are never reused, so nothing needs
+// the other timescales.
 //
 // Semantics. A monotonically increasing global epoch E is "open"; E-1 is
 // "closing"; epochs <= E-2 are "closed". A thread Enter()s an epoch, may
@@ -85,13 +86,9 @@ class EpochManager {
   // Number of threads currently marked active (diagnostics/tests).
   uint32_t ActiveThreads() const;
 
-  // Optional telemetry sink shared by all timescales (nullable; set once at
-  // engine construction, before any daemon runs).
+  // Optional telemetry sink (nullable; set once at engine construction,
+  // before any daemon runs).
   void set_metrics(metrics::EngineMetrics* m) { metrics_ = m; }
-
-  // Identifies this manager's timescale in trace events (0=gc, 1=rcu,
-  // 2=tid); set once at engine construction, before any daemon runs.
-  void set_trace_tag(uint32_t tag) { trace_tag_ = tag; }
 
  private:
   struct alignas(kCacheLineSize) ThreadState {
@@ -107,7 +104,6 @@ class EpochManager {
   ThreadState threads_[kMaxThreads];
   std::atomic<Epoch> epoch_{2};  // start >= 2 so boundary never underflows
   metrics::EngineMetrics* metrics_ = nullptr;
-  uint32_t trace_tag_ = 0;
 
   SpinLatch deferred_latch_;
   std::vector<Deferred> deferred_;

@@ -3,41 +3,32 @@
 // Central log ring buffer plus completion tracking. Transactions copy their
 // privately staged records into the ring at (logical offset mod capacity) —
 // no latch is needed because each byte range was exclusively reserved by the
-// global fetch_add in the log manager. The completion tracker records which
-// ranges carry data and which are holes (dead zones, skipped tails) so the
-// flusher can advance a contiguous durable watermark without waiting on bytes
+// global fetch_add in the log manager. The completion tracker keeps the
+// frontier below which every reserved range has been filled (or is a dead
+// zone), so the flusher can write that prefix without waiting on bytes
 // nobody will ever write.
 #ifndef ERMIA_LOG_LOG_BUFFER_H_
 #define ERMIA_LOG_LOG_BUFFER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
-#include <vector>
 
 #include "common/macros.h"
 
 namespace ermia {
 
 // Tracks completion of the logical offset space. Ranges are marked complete
-// out of order; `complete_until()` is the largest offset with no holes of
-// *unknown* state below it.
+// out of order; `complete_until()` is the end of the longest marked prefix.
 class CompletionTracker {
  public:
   explicit CompletionTracker(uint64_t start) : complete_until_(start) {}
   ERMIA_NO_COPY(CompletionTracker);
 
-  struct Range {
-    uint64_t begin;
-    uint64_t end;
-    bool has_data;  // false for dead zones / skipped tails (nothing to write)
-  };
-
-  void MarkData(uint64_t begin, uint64_t end) { Mark(begin, end, true); }
-  void MarkHole(uint64_t begin, uint64_t end) { Mark(begin, end, false); }
+  // Marks [begin, end) complete: its ring bytes are final, or it lies in a
+  // dead zone outside every segment.
+  void Mark(uint64_t begin, uint64_t end);
 
   // Re-bases the tracker (log resume after recovery). No ranges may be
   // outstanding.
@@ -47,16 +38,9 @@ class CompletionTracker {
     return complete_until_.load(std::memory_order_acquire);
   }
 
-  // Removes and returns, in offset order, all fully-complete ranges with
-  // begin < upto. `upto` must be <= complete_until().
-  std::vector<Range> TakeCompleted(uint64_t upto);
-
  private:
-  void Mark(uint64_t begin, uint64_t end, bool has_data);
-
-  mutable std::mutex mu_;
-  std::map<uint64_t, Range> pending_;  // above the frontier, keyed by begin
-  std::deque<Range> completed_;        // below complete_until_, in order
+  std::mutex mu_;
+  std::map<uint64_t, uint64_t> pending_;  // above the frontier: begin -> end
   std::atomic<uint64_t> complete_until_;
 };
 
@@ -71,11 +55,16 @@ class LogRingBuffer {
 
   char* At(uint64_t offset) { return data_ + (offset & mask_); }
 
+  // Bytes from logical `offset` up to the wrap point.
+  uint64_t ContiguousFrom(uint64_t offset) const {
+    return capacity_ - (offset & mask_);
+  }
+
   // Copies `size` bytes at logical `offset`, splitting at the wrap point.
   void Write(uint64_t offset, const void* src, uint64_t size);
 
-  // Reads out of the ring (used by the flusher), splitting at the wrap point.
-  void Read(uint64_t offset, void* dst, uint64_t size) const;
+  // Zero-fills `size` bytes at logical `offset`, splitting at the wrap point.
+  void Zero(uint64_t offset, uint64_t size);
 
  private:
   char* data_;

@@ -73,8 +73,6 @@ Status LogManager::Open() {
   health_.store(static_cast<uint32_t>(LogHealth::kHealthy),
                 std::memory_order_release);
   closed_.store(false, std::memory_order_release);
-  pending_ranges_.clear();
-  pending_target_ = start;
   stall_backoff_ms_ = 0;
   stall_retries_ = 0;
   tracker_.Reset(start);
@@ -214,7 +212,7 @@ const LogSegment* LogManager::PlaceBlock(uint64_t offset, uint32_t size) {
     if (c.seg != nullptr) {
       WriteSkip(c.seg, c.begin, c.end - c.begin);
     } else {
-      tracker_.MarkHole(c.begin, c.end);
+      tracker_.Mark(c.begin, c.end);
       dead_zone_bytes_.fetch_add(c.end - c.begin, std::memory_order_relaxed);
       if (metrics_ != nullptr) {
         metrics_->Inc(metrics::Ctr::kLogDeadZoneBytes, c.end - c.begin);
@@ -260,10 +258,12 @@ void LogManager::WriteSkip(const LogSegment* seg, uint64_t offset,
   hdr.num_records = 0;
   hdr.payload_bytes = 0;
   hdr.checksum = 0;
-  WaitForBufferSpace(offset + sizeof hdr);
+  // The body is zeroed too: the flusher writes every byte of a segment's
+  // range straight from the ring.
+  WaitForBufferSpace(offset + size);
   ring_.Write(offset, &hdr, sizeof hdr);
-  tracker_.MarkData(offset, offset + sizeof hdr);
-  if (size > sizeof hdr) tracker_.MarkHole(offset + sizeof hdr, offset + size);
+  ring_.Zero(offset + sizeof hdr, size - sizeof hdr);
+  tracker_.Mark(offset, offset + size);
   skip_blocks_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kLogSkipBlocks);
 }
@@ -273,12 +273,9 @@ void LogManager::InstallBlock(Lsn lsn, const void* block, uint32_t size) {
   const uint64_t asize = AlignUp(size);
   WaitForBufferSpace(off + asize);
   ring_.Write(off, block, size);
-  if (asize > size) {
-    // Zero the alignment padding so scans see deterministic bytes.
-    static const char kZeros[kLogAlign] = {};
-    ring_.Write(off + size, kZeros, asize - size);
-  }
-  tracker_.MarkData(off, off + asize);
+  // Zero the alignment padding so scans see deterministic bytes.
+  ring_.Zero(off + size, asize - size);
+  tracker_.Mark(off, off + asize);
   if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kLogBlocksInstalled);
   // No wakeup here: the flusher polls on a 1ms tick (group commit), so the
   // common commit path stays syscall-free. Waiters (synchronous commits,
@@ -373,52 +370,41 @@ void LogManager::FlusherLoop() {
 
 void LogManager::FlushOnce() {
   if (ERMIA_UNLIKELY(health() == LogHealth::kPoisoned)) {
-    DiscardCompleted();
+    ReleaseCompleted();
     return;
   }
-  // Adopt new completed work only when no failed batch is pending: a retry
-  // must re-attempt exactly the ranges already taken from the tracker
-  // (TakeCompleted removed them; their ring bytes are intact because
-  // released_offset_ has not passed them).
-  if (pending_ranges_.empty()) {
-    const uint64_t target = tracker_.complete_until();
-    if (target <= durable_offset_.load(std::memory_order_acquire)) return;
-    pending_ranges_ = tracker_.TakeCompleted(target);
-    pending_target_ = target;
-  }
-  const uint64_t target = pending_target_;
+  // Everything below the frontier is final in the ring and stays there until
+  // released_offset_ passes it, so a retry after a failed pass simply writes
+  // again from the durable offset.
+  const uint64_t target = tracker_.complete_until();
   const uint64_t durable = durable_offset_.load(std::memory_order_acquire);
+  if (target <= durable) return;
   const bool traced = trace::Active();
   if (ERMIA_UNLIKELY(traced)) {
     trace::Emit(trace::Event::kLogFlushBegin, 0, target - durable, 0);
   }
   const auto t0 = std::chrono::steady_clock::now();
   if (!in_memory()) {
-    std::vector<char> buf;
-    std::vector<LogSegment*> touched;
-    for (const auto& r : pending_ranges_) {
-      if (!r.has_data) continue;
-      LogSegment* seg = nullptr;
-      {
-        std::lock_guard<std::mutex> g(segment_mu_);
-        for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
-          if (r.begin >= (*it)->start_offset && r.end <= (*it)->end_offset) {
-            seg = it->get();
-            break;
-          }
-        }
+    // Segments overlapping [durable, target), oldest first. Every byte of a
+    // segment's range below the frontier belongs to a block or a skip block;
+    // dead zones lie between segments, so clipping to each segment skips them.
+    std::vector<const LogSegment*> segs;
+    {
+      std::lock_guard<std::mutex> g(segment_mu_);
+      for (auto it = segments_.rbegin();
+           it != segments_.rend() && (*it)->end_offset > durable; ++it) {
+        if ((*it)->start_offset < target) segs.push_back(it->get());
       }
-      ERMIA_CHECK(seg != nullptr);
-      const uint64_t n = r.end - r.begin;
-      buf.resize(n);
-      ring_.Read(r.begin, buf.data(), n);
-      // The range was completed, so committers may already be waiting on it.
-      // Refuse to advance durable_offset_ so no commit is acknowledged whose
-      // bytes never landed, and degrade: stall on out-of-space, which is
-      // transient; poison on anything else.
-      if (ERMIA_UNLIKELY(!fault::PwriteAll(
-              seg->fd, buf.data(), n,
-              static_cast<off_t>(seg->FileOffset(r.begin))))) {
+    }
+    for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
+      const LogSegment* seg = *it;
+      // The bytes are complete, so committers may already be waiting on
+      // them. Refuse to advance durable_offset_ so no commit is acknowledged
+      // whose bytes never landed, and degrade: stall on out-of-space, which
+      // is transient; poison on anything else.
+      if (ERMIA_UNLIKELY(!WriteExtent(*seg,
+                                      std::max(durable, seg->start_offset),
+                                      std::min(target, seg->end_offset)))) {
         const int err = errno;
         if (err == ENOSPC || err == EDQUOT) {
           EnterStall(err);
@@ -427,24 +413,20 @@ void LogManager::FlushOnce() {
         }
         return;
       }
-      if (config_.synchronous_commit &&
-          (touched.empty() || touched.back() != seg)) {
-        touched.push_back(seg);
-      }
     }
     // fsync failure is never survivable as a retry (fsync-gate semantics):
     // after a failed fdatasync the page cache state is unknowable, so
     // advancing durable_offset_ — and thereby acking commits — would be a
     // lie, now or on any later attempt. Poison.
-    for (LogSegment* seg : touched) {
-      if (ERMIA_UNLIKELY(fault::Fdatasync(seg->fd) != 0)) {
-        const int err = errno;
-        Poison(err);
-        return;
+    if (config_.synchronous_commit) {
+      for (const LogSegment* seg : segs) {
+        if (ERMIA_UNLIKELY(fault::Fdatasync(seg->fd) != 0)) {
+          Poison(errno);
+          return;
+        }
       }
     }
   }
-  pending_ranges_.clear();
   {
     std::lock_guard<std::mutex> lk(flush_mu_);
     durable_offset_.store(target, std::memory_order_release);
@@ -469,6 +451,21 @@ void LogManager::FlushOnce() {
   if (ERMIA_UNLIKELY(traced)) {
     trace::Emit(trace::Event::kLogFlushEnd, 0, target - durable, 0);
   }
+}
+
+bool LogManager::WriteExtent(const LogSegment& seg, uint64_t begin,
+                             uint64_t end) {
+  // At most two pwrites: the extent is shorter than the ring, so it wraps
+  // at most once.
+  while (begin < end) {
+    const uint64_t n = std::min(end - begin, ring_.ContiguousFrom(begin));
+    if (!fault::PwriteAll(seg.fd, ring_.At(begin), n,
+                          static_cast<off_t>(seg.FileOffset(begin)))) {
+      return false;
+    }
+    begin += n;
+  }
+  return true;
 }
 
 void LogManager::EnterStall(int err) {
@@ -526,8 +523,8 @@ void LogManager::Poison(int err) {
                "engine is read-only from here on\n",
                std::strerror(err),
                static_cast<unsigned long long>(DurableOffset()));
-  DiscardCompleted();
-  // DiscardCompleted only notifies when it releases bytes; always wake
+  ReleaseCompleted();
+  // ReleaseCompleted only notifies when it releases bytes; always wake
   // WaitForDurable waiters so they observe the poisoned state and fail.
   {
     std::lock_guard<std::mutex> lk(flush_mu_);
@@ -535,19 +532,13 @@ void LogManager::Poison(int err) {
   durable_cv_.notify_all();
 }
 
-void LogManager::DiscardCompleted() {
+void LogManager::ReleaseCompleted() {
+  // The bytes below the frontier leave the ring unwritten and are never acked.
   const uint64_t target = tracker_.complete_until();
-  if (target > pending_target_) {
-    auto more = tracker_.TakeCompleted(target);
-    pending_ranges_.insert(pending_ranges_.end(), more.begin(), more.end());
-    pending_target_ = target;
-  }
-  pending_ranges_.clear();  // never written, never acked
-  const uint64_t release_to = pending_target_;
-  if (release_to > released_offset_.load(std::memory_order_acquire)) {
+  if (target > released_offset_.load(std::memory_order_acquire)) {
     {
       std::lock_guard<std::mutex> lk(flush_mu_);
-      released_offset_.store(release_to, std::memory_order_release);
+      released_offset_.store(target, std::memory_order_release);
     }
     durable_cv_.notify_all();
   }

@@ -2,9 +2,11 @@
 //
 // Scalable centralized log manager (paper §3.3). The LSN space is claimed
 // with a single global fetch_add per transaction; segment rotation, dead
-// zones, and skip records handle the corner cases without ever latching the
-// common path. A background flusher drains completed ranges of the central
-// ring buffer to segment files (group commit).
+// zones, and skip records handle the corner cases. After the claim, a commit
+// copies its block into the central ring buffer and marks it complete, which
+// takes the completion tracker's mutex once. A background flusher writes the
+// completed prefix of the ring to segment files (group commit), one extent
+// per segment.
 #ifndef ERMIA_LOG_LOG_MANAGER_H_
 #define ERMIA_LOG_LOG_MANAGER_H_
 
@@ -33,8 +35,8 @@ namespace ermia {
 enum class LogHealth : uint32_t {
   // Normal operation: flushes succeed, writes admitted, durability advances.
   kHealthy = 0,
-  // A segment write failed with ENOSPC/EDQUOT. The flusher retains the taken
-  // ranges and retries them with bounded exponential backoff; new write
+  // A segment write failed with ENOSPC/EDQUOT. The flusher retries from the
+  // durable offset with bounded exponential backoff; new write
   // transactions are rejected with Status::LogUnavailable, reads keep
   // running, and in-flight synchronous commits block until the retry
   // succeeds (resume) or the log degrades further. Fully reversible.
@@ -43,8 +45,9 @@ enum class LogHealth : uint32_t {
   // fsync the page-cache state is unknowable, so the durable offset — and
   // with it every durability acknowledgment — freezes at the last
   // known-good value forever (fsync-gate semantics). The engine continues
-  // as a read-only store; completed ring ranges are discarded (never
-  // acked) so writers blocked on buffer space always drain. Sticky.
+  // as a read-only store; the completed prefix of the ring is released
+  // unwritten (never acked) so writers blocked on buffer space always drain.
+  // Sticky.
   kPoisoned = 2,
 };
 
@@ -141,9 +144,10 @@ class LogManager {
   // them. Callers surface Status::LogUnavailable when this is false.
   bool WritesAllowed() const { return health() == LogHealth::kHealthy; }
 
-  // Largest offset below which every range has been marked (data or hole) —
-  // the flusher's next target. CompleteUntil() > DurableOffset() with a
-  // non-advancing durable offset is the watchdog's flusher-stall signal.
+  // End of the longest prefix of the offset space that has been marked
+  // complete — the flusher's next target. CompleteUntil() > DurableOffset()
+  // with a non-advancing durable offset is the watchdog's flusher-stall
+  // signal.
   uint64_t CompleteUntil() const { return tracker_.complete_until(); }
 
   // Ring-space watermark: bytes below it have left the ring (written
@@ -177,21 +181,24 @@ class LogManager {
   // opened a segment covering it. Returns the newest segment.
   const LogSegment* OpenSegmentAt(uint64_t start);
 
-  // Writes a skip block header covering [offset, offset+size) in `seg`
-  // (closing its tail) or absorbing an aborted reservation.
+  // Writes a skip block covering [offset, offset+size) in `seg` (closing its
+  // tail) or absorbing an aborted reservation: a header, then zeros.
   void WriteSkip(const LogSegment* seg, uint64_t offset, uint64_t size);
 
   void WaitForBufferSpace(uint64_t end_offset);
   void FlusherLoop();
   void FlushOnce();
+  // Writes ring bytes [begin, end) to `seg`'s file, splitting at the ring's
+  // wrap point. Returns false with errno set on a failed write.
+  bool WriteExtent(const LogSegment& seg, uint64_t begin, uint64_t end);
 
   // Degradation transitions (flusher thread only; see LogHealth).
   void EnterStall(int err);
   void ResumeFromStall(uint64_t target);
   void Poison(int err);
-  // Poisoned mode: consume completed ranges without writing them and advance
-  // released_offset_ so producers blocked on ring space always drain.
-  void DiscardCompleted();
+  // Poisoned mode: advance released_offset_ to the frontier without writing,
+  // so producers blocked on ring space always drain.
+  void ReleaseCompleted();
 
   EngineConfig config_;
   metrics::EngineMetrics* metrics_;  // nullable
@@ -222,13 +229,8 @@ class LogManager {
   std::condition_variable flush_cv_;     // wakes the flusher
   std::condition_variable durable_cv_;   // wakes commit waiters
 
-  // Flusher-private retry state (touched only by the flusher thread, and by
-  // Close() after joining it): ranges taken from the tracker but not yet
-  // durable. TakeCompleted() removes ranges, so a failed flush must retain
-  // them here for an idempotent retry — the ring bytes are intact because
-  // released_offset_ has not advanced past them.
-  std::vector<CompletionTracker::Range> pending_ranges_;
-  uint64_t pending_target_ = 0;
+  // Flusher-private stall backoff (touched only by the flusher thread, and by
+  // Close() after joining it).
   uint64_t stall_backoff_ms_ = 0;
   uint64_t stall_retries_ = 0;
   std::chrono::steady_clock::time_point next_retry_at_{};

@@ -85,7 +85,7 @@ enum class Ctr : uint32_t {
   kLogSkipBlocks,
   kLogDeadZoneBytes,
   kLogSegmentRotations,
-  // Epoch managers (all timescales aggregated).
+  // GC epoch manager.
   kEpochAdvances,
   kEpochDeferredEnqueued,
   kEpochDeferredExecuted,
@@ -94,6 +94,8 @@ enum class Ctr : uint32_t {
   kGcPasses,
   kGcVersionsReclaimed,
   kGcItemsDeferred,
+  // Periodic checkpoints the checkpoint daemon completed.
+  kCheckpointsTaken,
   // Recovery (checkpoint load + log-tail replay). The *Us stage times are
   // wall time on the recovering thread: checkpoint load, then per log chunk
   // the read (I/O and header walk), verify and install steps; with the

@@ -117,7 +117,6 @@ size_t GarbageCollector::RunOnce() {
       v = next;
     }
   }
-  total_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
     metrics_->Inc(metrics::Ctr::kGcPasses);
     if (reclaimed > 0) {

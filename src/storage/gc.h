@@ -46,10 +46,6 @@ class GarbageCollector {
   // directly; the daemon calls it on its interval).
   size_t RunOnce();
 
-  uint64_t total_reclaimed() const {
-    return total_reclaimed_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Item {
     Table* table;
@@ -72,7 +68,6 @@ class GarbageCollector {
 
   std::thread daemon_;
   std::atomic<bool> stop_{true};
-  std::atomic<uint64_t> total_reclaimed_{0};
 };
 
 }  // namespace ermia

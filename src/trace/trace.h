@@ -63,7 +63,7 @@ enum class Event : uint16_t {
   kLogFlushWaitEnd,
   kTxnCommit,
   kTxnAbort,
-  // Daemon events. epoch(a=manager tag 0=gc/1=rcu/2=tid, b=new epoch);
+  // Daemon events. epoch(a=new GC epoch);
   // gc end(a=versions reclaimed); flush(a=batch bytes); rotation(a=segment
   // start offset); checkpoint(a=begin offset).
   kEpochAdvance,

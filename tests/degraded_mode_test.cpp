@@ -84,6 +84,9 @@ TEST(DegradedModeTest, EnospcStallShedsWritersThenResumes) {
 
   ASSERT_TRUE(PutTxn(db.get(), table, pk, "k0", "v0").ok());
   ASSERT_TRUE(db->log().WaitForDurable(db->log().CurrentOffset()).ok());
+  // A writer admitted before the stall; it commits while the log is stalled.
+  auto late = std::make_unique<Transaction>(db.get(), CcScheme::kSi);
+  ASSERT_TRUE(late->Insert(table, pk, "late", "lv", nullptr).ok());
 
   // Steady-state disk-full: every segment pwrite fails with ENOSPC until the
   // explicit Disarm below (the trigger threshold is already past).
@@ -118,14 +121,26 @@ TEST(DegradedModeTest, EnospcStallShedsWritersThenResumes) {
     EXPECT_TRUE(txn.Commit().ok());
   }
 
+  // A stalled log still takes the commit of a writer admitted earlier: its
+  // block completes in the ring while no flush can land.
+  ASSERT_TRUE(late->Commit().ok());
+  late.reset();
+  const uint64_t completed_during_stall = db->log().CurrentOffset();
+  ASSERT_TRUE(WaitFor([&] {
+    return db->log().CompleteUntil() >= completed_during_stall;
+  }));
+  EXPECT_EQ(db->log().health(), LogHealth::kStalled);
+
   const uint64_t durable_stalled = db->log().DurableOffset();
+  EXPECT_LT(durable_stalled, completed_during_stall);
   fault::Disarm();
   ASSERT_TRUE(WaitFor([&] { return db->log().health() == LogHealth::kHealthy; }))
       << "flusher never resumed after the fault cleared";
   EXPECT_TRUE(db->log().WritesAllowed());
 
-  // The stalled batch (k1) was retained and flushed on resume, and new
-  // writes are admitted and become durable.
+  // Resuming flushes everything completed before and during the stall (k1,
+  // late), and new writes are admitted and become durable.
+  EXPECT_GE(db->log().DurableOffset(), completed_during_stall);
   ASSERT_TRUE(PutTxn(db.get(), table, pk, "k3", "v3").ok());
   ASSERT_TRUE(db->log().WaitForDurable(db->log().CurrentOffset()).ok());
   EXPECT_GT(db->log().DurableOffset(), durable_stalled);
@@ -145,6 +160,20 @@ TEST(DegradedModeTest, EnospcStallShedsWritersThenResumes) {
   EXPECT_EQ(Counter(db.get(), metrics::Ctr::kLogPoisonEvents), 0u);
   EXPECT_EQ(Counter(db.get(), metrics::Ctr::kLogHealthState),
             static_cast<uint64_t>(LogHealth::kHealthy));
+
+  // The blocks the stall held back are on disk: a restart recovers them.
+  db.ShutDown();
+  db.Restart(DegradedConfig());
+  table = db->CreateTable("kv");
+  pk = db->CreateIndex(table, "kv_pk");
+  ASSERT_TRUE(db->Open().ok());
+  ASSERT_TRUE(db->Recover().ok());
+  Transaction txn(db.get(), CcScheme::kSi, /*read_only=*/true);
+  for (const char* key : {"k0", "k1", "late", "k3"}) {
+    Slice v;
+    EXPECT_TRUE(txn.Get(pk, key, &v).ok()) << key;
+  }
+  EXPECT_TRUE(txn.Commit().ok());
 }
 
 TEST(DegradedModeTest, FsyncFailurePoisonsStickyReadOnly) {

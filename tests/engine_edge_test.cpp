@@ -17,9 +17,9 @@ TEST(EngineStatsTest, CountersMoveTheRightWay) {
   Table* t = db->CreateTable("t");
   Index* pk = db->CreateIndex(t, "t_pk");
   ASSERT_TRUE(db->Open().ok());
-  const DatabaseStats before = db->GetStats();
-  EXPECT_EQ(before.num_tables, 1u);
-  EXPECT_EQ(before.num_indexes, 1u);
+  EXPECT_EQ(db->tables().size(), 1u);
+  EXPECT_EQ(db->index_list().size(), 1u);
+  const uint64_t offset_before = db->log().CurrentOffset();
   {
     Transaction txn(db.get(), CcScheme::kSi);
     ASSERT_TRUE(txn.Insert(t, pk, "k", "v", nullptr).ok());
@@ -43,10 +43,10 @@ TEST(EngineStatsTest, CountersMoveTheRightWay) {
     ASSERT_FALSE(reader.Commit().ok());  // validation fails post-reservation
   }
   db->log().WaitForDurable(db->log().CurrentOffset());
-  const DatabaseStats after = db->GetStats();
-  EXPECT_GT(after.log_current_offset, before.log_current_offset);
-  EXPECT_GE(after.log_durable_offset, after.log_current_offset);
-  EXPECT_GE(after.log_skip_blocks, 1u);
+  const uint64_t offset_after = db->log().CurrentOffset();
+  EXPECT_GT(offset_after, offset_before);
+  EXPECT_GE(db->log().DurableOffset(), offset_after);
+  EXPECT_GE(db->SnapshotMetrics().counter(metrics::Ctr::kLogSkipBlocks), 1u);
 }
 
 TEST(CheckpointDaemonTest, PeriodicCheckpointsHappen) {
@@ -63,7 +63,8 @@ TEST(CheckpointDaemonTest, PeriodicCheckpointsHappen) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_GE(db->GetStats().checkpoints_taken, 1u);
+  EXPECT_GE(db->SnapshotMetrics().counter(metrics::Ctr::kCheckpointsTaken),
+            1u);
   // And a restart recovers through one of those checkpoints.
   db.ShutDown();
   db.Restart(config);
@@ -250,7 +251,8 @@ TEST(UpdateChurnTest, HeavyChurnKeepsLatestVisibleAndGcTrims) {
   ASSERT_TRUE(txn.Read(t, oid, &v).ok());
   EXPECT_EQ(v.ToString(), "3000");
   EXPECT_TRUE(txn.Commit().ok());
-  EXPECT_GT(db->GetStats().gc_versions_reclaimed, 1000u);
+  EXPECT_GT(db->SnapshotMetrics().counter(metrics::Ctr::kGcVersionsReclaimed),
+            1000u);
 }
 
 TEST(MultiSchemeInterplayTest, SchemesShareOneDatabase) {

@@ -1,7 +1,8 @@
 // Log manager edge cases: ring-buffer backpressure with a tiny buffer,
 // synchronous-commit durability ordering, heavy rotation with concurrent
-// writers (dead-zone accounting), engine behavior under sync commits, and
-// the scan's handling of segments that end exactly on a block boundary.
+// writers (dead-zone accounting), the flusher's one extent per segment,
+// engine behavior under sync commits, and the scan's handling of segments
+// that end exactly on a block boundary.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/random.h"
 #include "log/log_manager.h"
 #include "log/log_scan.h"
@@ -134,6 +136,73 @@ TEST(LogRotationStressTest, ConcurrentWritersAcrossManySegments) {
                         })
                   .ok());
   EXPECT_EQ(blocks, installed.load());
+  testing::RemoveDir(dir);
+}
+
+// Group commit writes each segment's completed extent straight from the
+// ring: a flush costs at most two pwrites per segment it touches (two when
+// the extent wraps the ring), however many blocks it carries. A skip block
+// goes to disk whole, its body zeroed, even where the ring held older bytes.
+TEST(LogFlushTest, OneExtentPerSegmentStraightFromTheRing) {
+  const std::string dir = testing::MakeTempDir();
+  EngineConfig config;
+  config.log_dir = dir;
+  config.log_buffer_size = 1 << 16;   // 64 KiB ring: wraps several times
+  config.log_segment_size = 1 << 20;  // one segment: no creation ops counted
+  metrics::EngineMetrics metrics;
+  LogManager log(config, &metrics);
+  ASSERT_TRUE(log.Open().ok());
+
+  // Armed but never fires, so OpCount() counts every instrumented write.
+  fault::Plan plan;
+  plan.mode = fault::Mode::kFsyncError;
+  plan.trigger_after = UINT64_MAX;
+  fault::InstallPlan(plan);
+  constexpr int kCommits = 1000;
+  constexpr uint32_t kSize = 256;
+  for (int i = 0; i < kCommits; ++i) {
+    Lsn lsn = log.ReserveBlock(kSize);
+    auto block = MakeBlock(lsn.offset(), kSize);
+    log.InstallBlock(lsn, block.data(), kSize);
+  }
+  // The last reservation aborts; the ring under it holds 'q' payload bytes
+  // from an earlier lap.
+  constexpr uint32_t kSkipSize = 1024;
+  const Lsn skip = log.ReserveBlock(kSkipSize);
+  log.InstallSkip(skip, kSkipSize);
+  ASSERT_TRUE(log.WaitForDurable(skip.offset() + kSkipSize).ok());
+  log.Close();  // joins the flusher, so its counters are final
+  const uint64_t writes = fault::OpCount();
+  fault::Disarm();
+
+  const uint64_t flushes = metrics.Sum(metrics::Ctr::kLogFlushes);
+  EXPECT_GT(flushes, 0u);
+  EXPECT_LE(writes, 2 * (flushes + log.segment_rotations()))
+      << kCommits << " commits, " << flushes << " flushes";
+
+  const std::vector<LogSegment> segs = log.Segments();
+  ASSERT_EQ(segs.size(), 1u);
+  const int fd = ::open(segs[0].path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  std::vector<char> body(kSkipSize, 'x');
+  const off_t at = static_cast<off_t>(segs[0].FileOffset(skip.offset()));
+  const ssize_t n = ::pread(fd, body.data(), body.size(), at);
+  ::close(fd);
+  ASSERT_EQ(n, static_cast<ssize_t>(kSkipSize));
+  LogBlockHeader hdr;
+  std::memcpy(&hdr, body.data(), sizeof hdr);
+  EXPECT_EQ(hdr.type, LogBlockType::kSkip);
+  EXPECT_EQ(hdr.total_size, kSkipSize);
+  EXPECT_EQ(std::string(body.data() + sizeof hdr, kSkipSize - sizeof hdr),
+            std::string(kSkipSize - sizeof hdr, '\0'));
+
+  LogScanner scanner(dir);
+  ASSERT_TRUE(scanner.Init().ok());
+  int blocks = 0;
+  ASSERT_TRUE(
+      scanner.Scan(kLogStartOffset, [&](const ScannedBlock&) { ++blocks; })
+          .ok());
+  EXPECT_EQ(blocks, kCommits);
   testing::RemoveDir(dir);
 }
 

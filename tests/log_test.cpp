@@ -102,81 +102,49 @@ TEST(SegmentTest, FileNameRoundTrip) {
 
 TEST(CompletionTrackerTest, InOrderAdvances) {
   CompletionTracker t(0);
-  t.MarkData(0, 100);
+  t.Mark(0, 100);
   EXPECT_EQ(t.complete_until(), 100u);
-  t.MarkData(100, 150);
+  t.Mark(100, 150);
   EXPECT_EQ(t.complete_until(), 150u);
 }
 
 TEST(CompletionTrackerTest, OutOfOrderWaitsForGap) {
   CompletionTracker t(0);
-  t.MarkData(100, 200);
+  t.Mark(100, 200);
   EXPECT_EQ(t.complete_until(), 0u);
-  t.MarkHole(0, 100);
+  t.Mark(0, 100);
   EXPECT_EQ(t.complete_until(), 200u);
-  auto ranges = t.TakeCompleted(200);
-  ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_FALSE(ranges[0].has_data);
-  EXPECT_TRUE(ranges[1].has_data);
 }
 
-TEST(CompletionTrackerTest, TakeSplitsAtBoundary) {
-  CompletionTracker t(0);
-  t.MarkData(0, 100);
-  auto ranges = t.TakeCompleted(60);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].end, 60u);
-  ranges = t.TakeCompleted(100);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].begin, 60u);
-}
-
-// Property: however ranges arrive, the taken ranges tile the offset space
-// in order, keep their data/hole flag, and never pass complete_until().
-TEST(CompletionTrackerTest, ShuffledMarksTakeBackContiguously) {
+// Property: however ranges arrive, the frontier is always the end of the
+// longest marked prefix.
+TEST(CompletionTrackerTest, FrontierIsEndOfLongestMarkedPrefix) {
   FastRandom rng(31);
   constexpr int kRanges = 500;
-  std::vector<CompletionTracker::Range> ranges;
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
   uint64_t pos = 0;
   for (int i = 0; i < kRanges; ++i) {
     const uint64_t len = 32 * rng.UniformU64(1, 8);
-    ranges.push_back({pos, pos + len, rng.Bernoulli(0.8)});
+    ranges.push_back({pos, pos + len});
     pos += len;
   }
   // Shuffle within small windows, as concurrent committers would.
-  std::vector<CompletionTracker::Range> order = ranges;
+  std::vector<size_t> order(ranges.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   for (size_t i = 0; i + 1 < order.size(); ++i) {
     const size_t j = i + rng.UniformU64(0, std::min<size_t>(5, order.size() - 1 - i));
     std::swap(order[i], order[j]);
   }
   CompletionTracker t(0);
-  std::vector<CompletionTracker::Range> taken;
-  for (const auto& r : order) {
-    if (r.has_data) {
-      t.MarkData(r.begin, r.end);
-    } else {
-      t.MarkHole(r.begin, r.end);
-    }
-    if (rng.Bernoulli(0.3)) {
-      const uint64_t upto = rng.UniformU64(0, t.complete_until());
-      auto got = t.TakeCompleted(upto);
-      taken.insert(taken.end(), got.begin(), got.end());
-    }
+  std::vector<bool> marked(ranges.size(), false);
+  size_t prefix = 0;  // ranges [0, prefix) are all marked
+  for (size_t idx : order) {
+    t.Mark(ranges[idx].first, ranges[idx].second);
+    marked[idx] = true;
+    while (prefix < marked.size() && marked[prefix]) ++prefix;
+    ASSERT_EQ(t.complete_until(), prefix == 0 ? 0 : ranges[prefix - 1].second);
   }
-  ASSERT_EQ(t.complete_until(), pos);
-  auto rest = t.TakeCompleted(pos);
-  taken.insert(taken.end(), rest.begin(), rest.end());
-  uint64_t expect = 0;
-  size_t src = 0;
-  for (const auto& r : taken) {
-    ASSERT_EQ(r.begin, expect);
-    ASSERT_LT(r.begin, r.end);
-    while (ranges[src].end <= r.begin) ++src;
-    ASSERT_LE(r.end, ranges[src].end);  // a piece of one marked range
-    EXPECT_EQ(r.has_data, ranges[src].has_data);
-    expect = r.end;
-  }
-  EXPECT_EQ(expect, pos);
+  EXPECT_EQ(t.complete_until(), pos);
 }
 
 TEST(LogRingBufferTest, WrapAroundPreservesBytes) {
@@ -184,9 +152,14 @@ TEST(LogRingBufferTest, WrapAroundPreservesBytes) {
   std::string data(300, 'x');
   for (int i = 0; i < 300; ++i) data[i] = static_cast<char>(i);
   ring.Write(900, data.data(), data.size());  // wraps at 1024
-  std::string out(300, 0);
-  ring.Read(900, out.data(), out.size());
+  EXPECT_EQ(ring.ContiguousFrom(900), 124u);
+  std::string out(ring.At(900), 124);
+  out.append(ring.At(1024), 176);
   EXPECT_EQ(out, data);
+  ring.Zero(1000, 100);  // wraps too
+  EXPECT_EQ(std::string(ring.At(1000), 24), std::string(24, '\0'));
+  EXPECT_EQ(std::string(ring.At(1024), 76), std::string(76, '\0'));
+  EXPECT_EQ(*ring.At(1100), static_cast<char>(200));
 }
 
 class LogManagerTest : public ::testing::Test {
