@@ -25,7 +25,7 @@ struct LogFixture {
     if (d == nullptr) d = ::mkdtemp(tmp_tmpl);
     dir = d;
     config.log_dir = dir;
-    log = std::make_unique<LogManager>(config);
+    log = std::make_unique<LogManager>(config, &metrics);
     ERMIA_CHECK(log->Open().ok());
   }
   ~LogFixture() {
@@ -36,6 +36,7 @@ struct LogFixture {
   }
   EngineConfig config;
   std::string dir;
+  metrics::EngineMetrics metrics;
   std::unique_ptr<LogManager> log;
 };
 
@@ -93,9 +94,10 @@ void BM_SegmentRotationHeavy(benchmark::State& state) {
     auto block = MakeBlock(lsn.offset(), size);
     fixture.log->InstallBlock(lsn, block.data(), size);
   }
-  state.counters["rotations"] =
-      static_cast<double>(fixture.log->segment_rotations());
-  state.counters["skips"] = static_cast<double>(fixture.log->skip_blocks());
+  state.counters["rotations"] = static_cast<double>(
+      fixture.metrics.Sum(metrics::Ctr::kLogSegmentRotations));
+  state.counters["skips"] =
+      static_cast<double>(fixture.metrics.Sum(metrics::Ctr::kLogSkipBlocks));
   ThreadRegistry::Deregister();
 }
 BENCHMARK(BM_SegmentRotationHeavy);

@@ -95,6 +95,7 @@ struct BTree::Suffixes {
 };
 
 struct BTree::SearchKey {
+  SearchKey() = default;
   explicit SearchKey(const Slice& k)
       : data(k.data()),
         len(k.size()),
@@ -477,39 +478,62 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
   }
 }
 
+bool BTree::EnterRoot(Descent* d) const {
+  d->node = root_.load(std::memory_order_acquire);
+  d->v = AwaitStable(d->node->version);
+  return root_.load(std::memory_order_acquire) == d->node;
+}
+
+void BTree::PickChild(Descent* d, const SearchKey& key) {
+  auto* inner = static_cast<const InnerNode*>(d->node);
+  const int idx =
+      inner->UpperBound(key, inner->suffixes.load(std::memory_order_acquire));
+  d->child = inner->children[idx].load(std::memory_order_acquire);
+  LeafNode::Prefetch(d->child);
+}
+
+// The first validation keeps a child pointer read from a torn node from
+// being dereferenced; the second proves the child was the key's child when
+// its stable version was read.
+bool BTree::EnterChild(Descent* d) {
+  if (!Validate(d->node, d->v)) return false;
+  const uint64_t cv = AwaitStable(d->child->version);
+  if (!Validate(d->node, d->v)) return false;
+  d->node = d->child;
+  d->v = cv;
+  return true;
+}
+
+bool BTree::ReadLeaf(const Descent& d, const SearchKey& key, Oid* oid,
+                     bool* found) {
+  auto* leaf = static_cast<const LeafNode*>(d.node);
+  const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
+  const int pos = leaf->LowerBound(key, sfx);
+  const bool hit = pos < leaf->count && leaf->Compare(pos, key, sfx) == 0;
+  const Oid value = hit ? leaf->values[pos].load(std::memory_order_relaxed) : 0;
+  if (!Validate(leaf, d.v)) return false;
+  *found = hit;
+  if (hit) *oid = value;
+  return true;
+}
+
 BTree::LeafNode* BTree::DescendToLeaf(const SearchKey& key,
                                       uint64_t* leaf_version) const {
   Backoff backoff;
   for (;;) {
-    Node* node = root_.load(std::memory_order_acquire);
-    uint64_t v = AwaitStable(node->version);
-    if (root_.load(std::memory_order_acquire) != node) continue;
-    bool restart = false;
-    while (!node->is_leaf) {
-      auto* inner = static_cast<const InnerNode*>(node);
-      const int idx =
-          inner->UpperBound(key, inner->suffixes.load(std::memory_order_acquire));
-      Node* child = inner->children[idx].load(std::memory_order_acquire);
-      LeafNode::Prefetch(child);
-      if (!Validate(node, v)) {
-        restart = true;
-        break;
-      }
-      uint64_t cv = AwaitStable(child->version);
-      if (!Validate(node, v)) {
-        restart = true;
-        break;
-      }
-      node = child;
-      v = cv;
+    Descent d;
+    if (!EnterRoot(&d)) continue;
+    bool entered = true;
+    while (entered && !d.node->is_leaf) {
+      PickChild(&d, key);
+      entered = EnterChild(&d);
     }
-    if (restart) {
-      read_retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff.Pause();
-      continue;
+    if (entered) {
+      *leaf_version = d.v;
+      return static_cast<LeafNode*>(d.node);
     }
-    *leaf_version = v;
-    return static_cast<LeafNode*>(node);
+    read_retries_.fetch_add(1, std::memory_order_relaxed);
+    backoff.Pause();
   }
 }
 
@@ -517,21 +541,55 @@ bool BTree::Lookup(const Slice& key, Oid* oid, NodeHandle* handle) const {
   const SearchKey k(key);
   Backoff backoff;
   for (;;) {
-    uint64_t v;
-    LeafNode* leaf = DescendToLeaf(k, &v);
-    const Suffixes* sfx = leaf->suffixes.load(std::memory_order_acquire);
-    const int pos = leaf->LowerBound(k, sfx);
-    const bool found = pos < leaf->count && leaf->Compare(pos, k, sfx) == 0;
-    const Oid value =
-        found ? leaf->values[pos].load(std::memory_order_relaxed) : 0;
-    if (!Validate(leaf, v)) {
-      read_retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff.Pause();
+    Descent d;
+    d.node = DescendToLeaf(k, &d.v);
+    Oid value = 0;
+    bool found;
+    if (ReadLeaf(d, k, &value, &found)) {
+      if (handle != nullptr) *handle = {d.node, d.v};
+      if (found && oid != nullptr) *oid = value;
+      return found;
+    }
+    read_retries_.fetch_add(1, std::memory_order_relaxed);
+    backoff.Pause();
+  }
+}
+
+// All keys start from one root snapshot, so they reach the leaves in the
+// same number of levels; the is_leaf checks only guard against a key whose
+// validation failed on the way.
+void BTree::LookupBatch(const Slice* keys, size_t n, Oid* oids, bool* found,
+                        NodeHandle* handles) const {
+  ERMIA_CHECK(n <= kLookupGroup);
+  SearchKey k[kLookupGroup];
+  Descent d[kLookupGroup];
+  bool live[kLookupGroup];  // still on the lockstep path
+  Descent root;
+  while (!EnterRoot(&root)) {
+  }
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = SearchKey(keys[i]);
+    d[i] = root;
+    live[i] = true;
+  }
+  for (bool descending = !root.node->is_leaf; descending;) {
+    for (size_t i = 0; i < n; ++i) {
+      if (live[i] && !d[i].node->is_leaf) PickChild(&d[i], k[i]);
+    }
+    descending = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (!live[i] || d[i].node->is_leaf) continue;
+      live[i] = EnterChild(&d[i]);
+      descending |= live[i] && !d[i].node->is_leaf;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (live[i] && ReadLeaf(d[i], k[i], &oids[i], &found[i])) {
+      handles[i] = {d[i].node, d[i].v};
       continue;
     }
-    if (handle != nullptr) *handle = {leaf, v};
-    if (found && oid != nullptr) *oid = value;
-    return found;
+    read_retries_.fetch_add(1, std::memory_order_relaxed);
+    found[i] = Lookup(keys[i], &oids[i], &handles[i]);
   }
 }
 

@@ -56,9 +56,22 @@ class BTree {
   // post-insert version so the caller can refresh its own node set.
   Status Insert(const Slice& key, Oid oid, NodeHandle* handle, Oid* existing);
 
+  // Most keys one LookupBatch call takes.
+  static constexpr size_t kLookupGroup = 16;
+
   // Point lookup. Whether the key is found or not, *handle receives the leaf
   // consulted (a miss is an anti-dependency that phantom checks must cover).
   bool Lookup(const Slice& key, Oid* oid, NodeHandle* handle) const;
+
+  // Batched point lookup with the result of Lookup on each of the n <=
+  // kLookupGroup keys: found[i], oids[i] (set only when found) and
+  // handles[i]. The keys walk down the tree in lockstep, one level at a
+  // time: every key's child is picked and prefetched before any of them is
+  // read, so the cache misses of independent keys overlap. Each key keeps
+  // its own version validation; a key that fails it finishes alone through
+  // Lookup.
+  void LookupBatch(const Slice* keys, size_t n, Oid* oids, bool* found,
+                   NodeHandle* handles) const;
 
   // In-order scan over [lo, hi] (inclusive bounds; pass empty hi for
   // open-ended). The callback returns false to stop early. Every leaf
@@ -94,11 +107,29 @@ class BTree {
   struct LeafNode;
   struct Suffixes;   // per-node bytes of keys longer than 8
   struct SearchKey;  // a probe key with its slices precomputed
+  // An optimistic reader's place in a descent: `node` as read at its stable
+  // version `v`, and the child picked in it but not yet entered.
+  struct Descent {
+    Node* node;
+    uint64_t v;
+    Node* child;
+  };
 
   static bool Validate(const Node* node, uint64_t v);
   static bool TryLock(Node* node, uint64_t v);
   static void Unlock(Node* node);
 
+  // The per-level steps every optimistic reader descent is made of. A
+  // descent starts at the root (false: the root moved meanwhile); at each
+  // inner node it picks the key's child and starts fetching it, then enters
+  // it (false: the node changed under the reader, who must restart).
+  bool EnterRoot(Descent* d) const;
+  static void PickChild(Descent* d, const SearchKey& key);
+  static bool EnterChild(Descent* d);
+  // Searches the leaf a descent reached. False if the leaf changed since it
+  // was entered; otherwise sets *found, and *oid when found.
+  static bool ReadLeaf(const Descent& d, const SearchKey& key, Oid* oid,
+                       bool* found);
   LeafNode* DescendToLeaf(const SearchKey& key, uint64_t* leaf_version) const;
   void SplitChild(InnerNode* parent, int child_idx, Node* child, int mid);
   void SplitRoot();

@@ -213,7 +213,6 @@ const LogSegment* LogManager::PlaceBlock(uint64_t offset, uint32_t size) {
       WriteSkip(c.seg, c.begin, c.end - c.begin);
     } else {
       tracker_.Mark(c.begin, c.end);
-      dead_zone_bytes_.fetch_add(c.end - c.begin, std::memory_order_relaxed);
       if (metrics_ != nullptr) {
         metrics_->Inc(metrics::Ctr::kLogDeadZoneBytes, c.end - c.begin);
       }
@@ -237,7 +236,6 @@ const LogSegment* LogManager::OpenSegmentAt(uint64_t start) {
   const LogSegment* raw = seg.get();
   segments_.push_back(std::move(seg));
   latest_segment_.store(raw, std::memory_order_release);
-  rotations_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kLogSegmentRotations);
   if (ERMIA_UNLIKELY(trace::Active())) {
     trace::Emit(trace::Event::kLogRotation, 0, start, 0);
@@ -264,7 +262,6 @@ void LogManager::WriteSkip(const LogSegment* seg, uint64_t offset,
   ring_.Write(offset, &hdr, sizeof hdr);
   ring_.Zero(offset + sizeof hdr, size - sizeof hdr);
   tracker_.Mark(offset, offset + size);
-  skip_blocks_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->Inc(metrics::Ctr::kLogSkipBlocks);
 }
 

@@ -163,11 +163,6 @@ class LogManager {
   const std::string& dir() const { return config_.log_dir; }
   bool in_memory() const { return config_.log_dir.empty(); }
 
-  // Statistics.
-  uint64_t skip_blocks() const { return skip_blocks_.load(); }
-  uint64_t dead_zone_bytes() const { return dead_zone_bytes_.load(); }
-  uint64_t segment_rotations() const { return rotations_.load(); }
-
  private:
   // Re-adopts segment files from a previous incarnation (recovery restart).
   bool ResumeExistingLog(uint64_t* tail_out);
@@ -234,10 +229,6 @@ class LogManager {
   uint64_t stall_backoff_ms_ = 0;
   uint64_t stall_retries_ = 0;
   std::chrono::steady_clock::time_point next_retry_at_{};
-
-  std::atomic<uint64_t> skip_blocks_{0};
-  std::atomic<uint64_t> dead_zone_bytes_{0};
-  std::atomic<uint64_t> rotations_{0};
 };
 
 }  // namespace ermia

@@ -36,6 +36,14 @@ class IndirectionArray {
     return slot ? slot->load(std::memory_order_acquire) : nullptr;
   }
 
+  // Starts fetching oid's slot, so that a batch of reads overlaps its slot
+  // misses (Transaction::MultiGet).
+  void PrefetchSlot(Oid oid) const {
+    if (const std::atomic<Version*>* slot = SlotIfExists(oid)) {
+      __builtin_prefetch(slot);
+    }
+  }
+
   // Installs `desired` iff the head is still `expected` (update path: the
   // single CAS that makes multi-versioning cheap).
   bool CasHead(Oid oid, Version* expected, Version* desired) {

@@ -93,12 +93,49 @@ struct LimboEntry {
 
 struct VersionAllocator::OrphanEntry : LimboEntry {};
 
+namespace {
+
+// A FIFO of limbo entries that keeps its storage: limbo drains about as fast
+// as it fills, so in steady state it allocates nothing. The popped prefix is
+// compacted away once it is half the vector, at amortized O(1) per entry.
+class LimboFifo {
+ public:
+  bool empty() const { return head_ == entries_.size(); }
+  const LimboEntry& front() const { return entries_[head_]; }
+  const LimboEntry* begin() const { return entries_.data() + head_; }
+  const LimboEntry* end() const { return entries_.data() + entries_.size(); }
+
+  void push_back(const LimboEntry& e) {
+    if (head_ > 0 && head_ >= entries_.size() / 2) {
+      entries_.erase(entries_.begin(), entries_.begin() + head_);
+      head_ = 0;
+    }
+    entries_.push_back(e);
+  }
+  void pop_front() {
+    if (++head_ == entries_.size()) {
+      entries_.clear();
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<LimboEntry> entries_;
+  size_t head_ = 0;  // entries_[head_, size) are queued
+};
+
+}  // namespace
+
 struct VersionAllocator::ThreadCache {
   void* free_head[kNumClasses] = {};
   uint32_t free_count[kNumClasses] = {};
-  std::vector<LimboEntry> limbo;
-  // Mirrors limbo.size() for cross-thread stat reads (the vector itself is
-  // owner-mutated without a latch).
+  // One FIFO per epoch slot. A thread retires into a slot's manager in
+  // non-decreasing epoch order, so the reclaimable entries of a FIFO are a
+  // prefix of it and a harvest pops only those (adopted orphans can break
+  // the order; they then wait behind younger entries, which is safe).
+  LimboFifo limbo[kMaxEpochSlots];
+  // Entries across the FIFOs, for cross-thread stat reads (the FIFOs
+  // themselves are owner-mutated without a latch).
   std::atomic<uint64_t> limbo_count{0};
   uint32_t deferred_since_harvest = 0;
   char* slab_pos = nullptr;
@@ -181,8 +218,8 @@ void VersionAllocator::RetireCache(ThreadCache* c) {
   SpinLatchGuard g(caches_latch_);
   // Unexpired limbo entries outlive the thread on the orphan list; they are
   // adopted by whichever thread harvests next.
-  for (const LimboEntry& e : c->limbo) {
-    orphans_->push_back(OrphanEntry{e});
+  for (const auto& fifo : c->limbo) {
+    for (const LimboEntry& e : fifo) orphans_->push_back(OrphanEntry{e});
   }
   orphan_count_.store(orphans_->size(), std::memory_order_release);
   const auto& s = c->stats;
@@ -301,7 +338,8 @@ void* VersionAllocator::Allocate(size_t bytes, uint8_t* cls) {
   *cls = c;
   ThreadCache* tc = Cache();
   void* b = PopLocal(tc, c);
-  if (b == nullptr && !tc->limbo.empty()) {
+  if (b == nullptr &&
+      tc->limbo_count.load(std::memory_order_relaxed) != 0) {
     // Freelist dry but limbo populated: the epoch may have closed already.
     Harvest(tc);
     b = PopLocal(tc, c);
@@ -347,9 +385,10 @@ void VersionAllocator::FreeDeferred(void* block, uint8_t cls,
     FreeDeferredViaManager(block, cls, mgr);
     return;
   }
-  tc->limbo.push_back(
+  tc->limbo[slot].push_back(
       LimboEntry{block, mgr, mgr->current(), slot, gen, cls});
-  tc->limbo_count.store(tc->limbo.size(), std::memory_order_relaxed);
+  tc->limbo_count.store(tc->limbo_count.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
   if (++tc->deferred_since_harvest >= kHarvestPeriod) {
     tc->deferred_since_harvest = 0;
     Harvest(tc);
@@ -365,19 +404,24 @@ void VersionAllocator::DrainOrphansInto(ThreadCache* c) {
   if (orphan_count_.load(std::memory_order_acquire) == 0) return;
   SpinLatchGuard g(caches_latch_);
   constexpr size_t kAdoptMax = 256;
-  size_t take = orphans_->size() < kAdoptMax ? orphans_->size() : kAdoptMax;
-  while (take-- > 0) {
-    c->limbo.push_back(orphans_->back());
+  const size_t take =
+      orphans_->size() < kAdoptMax ? orphans_->size() : kAdoptMax;
+  for (size_t i = 0; i < take; ++i) {
+    const LimboEntry& e = orphans_->back();
+    c->limbo[e.slot].push_back(e);
     orphans_->pop_back();
   }
   orphan_count_.store(orphans_->size(), std::memory_order_release);
-  c->limbo_count.store(c->limbo.size(), std::memory_order_relaxed);
+  c->limbo_count.store(c->limbo_count.load(std::memory_order_relaxed) + take,
+                       std::memory_order_relaxed);
 }
 
+// Costs O(epoch slots + entries reclaimed): each FIFO is popped only while
+// its front is reclaimable, so entries a pin holds back are not revisited.
 size_t VersionAllocator::Harvest(ThreadCache* c) {
   DrainOrphansInto(c);
-  if (c->limbo.empty()) return 0;
-  // Snapshot every attached manager's reclaim boundary once, under the
+  if (c->limbo_count.load(std::memory_order_relaxed) == 0) return 0;
+  // Snapshot the reclaim boundary of every slot with entries, under the
   // latch: DetachEpoch also takes it, so a manager observed attached here
   // cannot be destroyed before the snapshot completes (Database detaches
   // strictly before destroying its managers).
@@ -389,6 +433,7 @@ size_t VersionAllocator::Harvest(ThreadCache* c) {
   {
     SpinLatchGuard g(epoch_latch_);
     for (uint32_t s = 0; s < kMaxEpochSlots; ++s) {
+      if (c->limbo[s].empty()) continue;
       snap[s].mgr = epoch_slots_[s].mgr.load(std::memory_order_relaxed);
       snap[s].gen = epoch_slots_[s].gen.load(std::memory_order_relaxed);
       snap[s].boundary =
@@ -396,26 +441,26 @@ size_t VersionAllocator::Harvest(ThreadCache* c) {
     }
   }
   size_t reclaimed = 0;
-  size_t kept = 0;
-  for (size_t i = 0; i < c->limbo.size(); ++i) {
-    const LimboEntry& e = c->limbo[i];
-    const Snap& s = snap[e.slot];
-    // Generation or manager mismatch means the manager detached: every
-    // thread it protected has quiesced, so the block is free now.
-    const bool detached = s.mgr != e.mgr || s.gen != e.gen;
-    if (detached || e.epoch <= s.boundary) {
-      ++reclaimed;
+  for (uint32_t s = 0; s < kMaxEpochSlots; ++s) {
+    LimboFifo& fifo = c->limbo[s];
+    while (!fifo.empty()) {
+      const LimboEntry& e = fifo.front();
+      // Generation or manager mismatch means the manager detached: every
+      // thread it protected has quiesced, so the block is free now.
+      const bool detached = snap[s].mgr != e.mgr || snap[s].gen != e.gen;
+      if (!detached && e.epoch > snap[s].boundary) break;
       if (e.cls == kMallocClass) {
         std::free(e.block);
       } else {
         PushLocal(c, e.cls, e.block);
       }
-    } else {
-      c->limbo[kept++] = e;
+      fifo.pop_front();
+      ++reclaimed;
     }
   }
-  c->limbo.resize(kept);
-  c->limbo_count.store(kept, std::memory_order_relaxed);
+  c->limbo_count.store(
+      c->limbo_count.load(std::memory_order_relaxed) - reclaimed,
+      std::memory_order_relaxed);
   if (reclaimed > 0) Bump(c->stats.limbo_recycled, reclaimed);
   return reclaimed;
 }

@@ -17,11 +17,13 @@
 //  * Epoch-deferred recycling. A version unlinked from a chain may still be
 //    traversed by concurrent readers until the reclamation epoch closes, so
 //    FreeDeferred() records the block out-of-band in the freeing thread's
-//    limbo list — the block's bytes are NOT touched — tagged with the current
-//    epoch. A periodic harvest moves limbo entries whose epoch has fallen at
-//    or below the manager's ReclaimBoundary() onto the freelists (only then
-//    is the first word reused as the freelist link). Free() without an epoch
-//    is reserved for versions that were never published to a chain.
+//    limbo — the block's bytes are NOT touched — tagged with the current
+//    epoch. Limbo is one FIFO per epoch manager, filled in epoch order, so
+//    a periodic harvest pops the prefix whose epoch has fallen at or below
+//    the manager's ReclaimBoundary() onto the freelists, at a cost of the
+//    entries it reclaims (only then is the first word reused as the
+//    freelist link). Free() without an epoch is reserved for versions that
+//    were never published to a chain.
 //  * Transfer cache. Freelist overflow (e.g. the GC daemon reclaiming whole
 //    chains) is flushed to a per-class lock-free Treiber stack in batches of
 //    kTransferBatch intrusively linked blocks; worker threads splice batches
@@ -91,7 +93,7 @@ class VersionAllocator {
   // published blocks must go through FreeDeferred.
   void Free(void* block, uint8_t cls);
 
-  // Epoch-deferred recycle: the block joins the calling thread's limbo list
+  // Epoch-deferred recycle: the block joins the calling thread's limbo
   // tagged with mgr's current epoch and becomes allocatable only once that
   // epoch is at or below mgr->ReclaimBoundary(). The block's contents are
   // not touched until then (in-flight readers may still traverse it).

@@ -1,5 +1,6 @@
 #include "txn/transaction.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/profiling.h"
@@ -304,17 +305,48 @@ Status Transaction::GetOid(Index* index, const Slice& key, Oid* oid) {
 }
 
 Status Transaction::Get(Index* index, const Slice& key, Slice* value) {
+  Status s;
+  MultiGet(index, &key, 1, value, &s);
+  return s;
+}
+
+// Three phases per group of keys: the lockstep index walk; prefetching every
+// found OID's slot, then each head's version; and the ordinary per-key
+// RegisterNode and Read, in key order. The index bracket closes before any
+// Read runs, so no profiling bracket nests another.
+Status Transaction::MultiGet(Index* index, const Slice* keys, size_t n,
+                             Slice* values, Status* statuses) {
   ERMIA_DCHECK(!finished_);
-  NodeHandle handle;
-  Oid oid = 0;
-  bool found;
-  {
-    ERMIA_PROF_INDEX();
-    found = index->tree().Lookup(key, &oid, &handle);
+  constexpr size_t kGroup = BTree::kLookupGroup;
+  Table* table = index->table();
+  const IndirectionArray& array = table->array();
+  Oid oids[kGroup];
+  bool found[kGroup];
+  NodeHandle handles[kGroup];
+  for (size_t base = 0; base < n; base += kGroup) {
+    const size_t m = std::min(n - base, kGroup);
+    {
+      ERMIA_PROF_INDEX();
+      index->tree().LookupBatch(keys + base, m, oids, found, handles);
+    }
+    {
+      ERMIA_PROF_INDIRECTION();
+      for (size_t i = 0; i < m; ++i) {
+        if (found[i]) array.PrefetchSlot(oids[i]);
+      }
+      for (size_t i = 0; i < m; ++i) {
+        if (found[i]) Version::Prefetch(array.Head(oids[i]));
+      }
+    }
+    for (size_t i = 0; i < m; ++i) {
+      RegisterNode(handles[i]);
+      Status& s = statuses[base + i];
+      s = found[i] ? Read(table, oids[i], &values[base + i])
+                   : Status::NotFound();
+      if (!s.ok() && !s.IsNotFound()) return s;
+    }
   }
-  RegisterNode(handle);
-  if (!found) return Status::NotFound();
-  return Read(index->table(), oid, value);
+  return Status::OK();
 }
 
 template <typename Cb>

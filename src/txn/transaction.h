@@ -83,8 +83,18 @@ class Transaction {
   // invisible to this snapshot.
   Status GetOid(Index* index, const Slice& key, Oid* oid);
 
-  // Lookup + Read convenience.
+  // Lookup + Read convenience: MultiGet of one key.
   Status Get(Index* index, const Slice& key, Slice* value);
+
+  // Batched Get. statuses[i] and values[i] are what Get would return for
+  // keys[i], called on each key in order. The batch stops at the first
+  // status that is neither OK nor NotFound and returns it; the keys after
+  // that one are not read and their statuses are not set. Returns OK when
+  // every key was read. The index walk and the indirection and version
+  // loads of all keys overlap their cache misses before the per-key reads
+  // run (docs/INTERNALS.md, "The life of a transaction").
+  Status MultiGet(Index* index, const Slice* keys, size_t n, Slice* values,
+                  Status* statuses);
 
   // Ordered scan over [lo, hi] (inclusive; empty hi = open-ended) delivering
   // only versions visible to this transaction. The callback returns false to

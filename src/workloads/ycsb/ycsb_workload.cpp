@@ -1,5 +1,7 @@
 #include "workloads/ycsb/ycsb_workload.h"
 
+#include <algorithm>
+
 namespace ermia {
 namespace ycsb {
 
@@ -49,11 +51,34 @@ uint64_t YcsbWorkload::PickKey(FastRandom& rng) const {
   return zipf_->Next(rng) % n;
 }
 
+// The key stream matches the per-op path: one NextDouble (the read/write
+// draw, always a read here), then one PickKey, per op.
+Status YcsbWorkload::RunReadBatch(Database* db, CcScheme scheme,
+                                  FastRandom& rng) {
+  constexpr uint32_t kBatch = BTree::kLookupGroup;
+  Transaction txn(db, scheme, /*read_only=*/true);
+  Varstr keys[kBatch];
+  Slice slices[kBatch];
+  Slice values[kBatch];
+  Status statuses[kBatch];
+  for (uint32_t done = 0; done < cfg_.ops_per_txn;) {
+    const uint32_t m = std::min(cfg_.ops_per_txn - done, kBatch);
+    for (uint32_t i = 0; i < m; ++i) {
+      rng.NextDouble();
+      keys[i] = Key(PickKey(rng));
+      slices[i] = keys[i].slice();
+    }
+    ERMIA_RETURN_NOT_OK(txn.MultiGet(pk_, slices, m, values, statuses));
+    done += m;
+  }
+  return txn.Commit();
+}
+
 Status YcsbWorkload::RunTxn(Database* db, CcScheme scheme, size_t /*type*/,
                             uint32_t /*worker_id*/, uint32_t /*num_workers*/,
                             FastRandom& rng) {
-  const bool read_only = cfg_.mix == YcsbMix::kC;
-  Transaction txn(db, scheme, read_only);
+  if (cfg_.mix == YcsbMix::kC) return RunReadBatch(db, scheme, rng);
+  Transaction txn(db, scheme);
   std::string value(cfg_.value_size, 'u');
   for (uint32_t op = 0; op < cfg_.ops_per_txn; ++op) {
     double read_fraction = 1.0;
@@ -64,8 +89,7 @@ Status YcsbWorkload::RunTxn(Database* db, CcScheme scheme, size_t /*type*/,
       case YcsbMix::kB:
         read_fraction = 0.95;
         break;
-      case YcsbMix::kC:
-        read_fraction = 1.0;
+      case YcsbMix::kC:  // RunReadBatch
         break;
       case YcsbMix::kE:
         read_fraction = 0.95;  // "read" = scan for E

@@ -47,6 +47,9 @@ class YcsbWorkload : public bench::Workload {
 
  private:
   uint64_t PickKey(FastRandom& rng) const;
+  // Mix C: draws each op's key as the other mixes do, then reads them all
+  // with one MultiGet.
+  Status RunReadBatch(Database* db, CcScheme scheme, FastRandom& rng);
 
   YcsbConfig cfg_;
   Table* table_ = nullptr;

@@ -119,6 +119,81 @@ TEST(BTreeStressTest, ScansNeverSeeTornStateDuringSplits) {
   EXPECT_EQ(violations.load(), 0u);
 }
 
+// Batched lookups (LookupBatch) racing writers that split leaves and inner
+// nodes: every preloaded key is found with its OID, and keys no one inserts
+// are never found.
+TEST(BTreeStressTest, BatchedLookupsDuringSplits) {
+  BTree tree;
+  NodeHandle nh;
+  // Key 4i is preloaded with OID 4i+1, writers insert 4i+1 and 4i+2, and
+  // 4i+3 stays absent.
+  constexpr uint64_t kPreloaded = 3000;
+  constexpr uint64_t kWritten = 12000;
+  for (uint64_t i = 0; i < kPreloaded; ++i) {
+    ASSERT_TRUE(
+        tree.Insert(K(4 * i), static_cast<Oid>(4 * i + 1), &nh, nullptr).ok());
+  }
+  const uint64_t splits_before = tree.splits();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> violations{0};
+  std::atomic<uint64_t> batches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      FastRandom rng(t + 303);
+      constexpr size_t kMaxBatch = BTree::kLookupGroup;
+      std::string keys[kMaxBatch];
+      Slice slices[kMaxBatch];
+      uint64_t expect[kMaxBatch];  // 0: must be absent
+      Oid oids[kMaxBatch];
+      bool found[kMaxBatch];
+      NodeHandle handles[kMaxBatch];
+      while (!stop.load(std::memory_order_acquire)) {
+        const size_t n = rng.UniformU64(1, kMaxBatch);
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t k = 4 * rng.UniformU64(0, kWritten - 1);
+          const bool present = k < 4 * kPreloaded && rng.Bernoulli(0.8);
+          keys[i] = present ? K(k) : K(k + 3);
+          slices[i] = keys[i];
+          expect[i] = present ? k + 1 : 0;
+          oids[i] = 0;
+        }
+        tree.LookupBatch(slices, n, oids, found, handles);
+        for (size_t i = 0; i < n; ++i) {
+          if (found[i] != (expect[i] != 0) ||
+              (found[i] && oids[i] != expect[i]) ||
+              handles[i].node == nullptr) {
+            violations.fetch_add(1);
+          }
+        }
+        batches.fetch_add(1);
+        std::this_thread::yield();  // let the writers through under TSan
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      NodeHandle h;
+      // A stride through the key space, so splits land all over the tree.
+      for (uint64_t j = 0; j < kWritten; ++j) {
+        const uint64_t i = (j * 7919) % kWritten;
+        const uint64_t k = 4 * i + 1 + static_cast<uint64_t>(t);
+        tree.Insert(K(k), static_cast<Oid>(k + 1), &h, nullptr);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(batches.load(), 0u);
+  // 27,000 keys need at least 844 leaves under at least 26 inner nodes;
+  // the preload had 3,000 keys, so inner nodes split during the race.
+  EXPECT_GT(tree.splits() - splits_before, 2 * kWritten / BTree::kFanout);
+  EXPECT_EQ(tree.Size(), kPreloaded + 2 * kWritten);
+}
+
 TEST(BTreeStressTest, SequentialInsertSplitStorm) {
   // Monotonic keys hammer the rightmost path: every leaf fills and splits.
   BTree tree;

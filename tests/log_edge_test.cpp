@@ -96,7 +96,8 @@ TEST(LogRotationStressTest, ConcurrentWritersAcrossManySegments) {
   config.log_dir = dir;
   config.log_segment_size = 1 << 14;  // 16KB segments: rotate constantly
   config.log_buffer_size = 1 << 20;
-  LogManager log(config);
+  metrics::EngineMetrics metrics;
+  LogManager log(config, &metrics);
   ASSERT_TRUE(log.Open().ok());
 
   constexpr int kThreads = 4;
@@ -118,7 +119,7 @@ TEST(LogRotationStressTest, ConcurrentWritersAcrossManySegments) {
   }
   for (auto& t : threads) t.join();
   log.WaitForDurable(log.CurrentOffset());
-  EXPECT_GT(log.segment_rotations(), 10u);
+  EXPECT_GT(metrics.Sum(metrics::Ctr::kLogSegmentRotations), 10u);
   log.Close();
 
   // Every installed block survives the scan, in offset order, despite the
@@ -177,7 +178,8 @@ TEST(LogFlushTest, OneExtentPerSegmentStraightFromTheRing) {
 
   const uint64_t flushes = metrics.Sum(metrics::Ctr::kLogFlushes);
   EXPECT_GT(flushes, 0u);
-  EXPECT_LE(writes, 2 * (flushes + log.segment_rotations()))
+  EXPECT_LE(writes,
+            2 * (flushes + metrics.Sum(metrics::Ctr::kLogSegmentRotations)))
       << kCommits << " commits, " << flushes << " flushes";
 
   const std::vector<LogSegment> segs = log.Segments();

@@ -169,7 +169,7 @@ class LogManagerTest : public ::testing::Test {
     config_.log_dir = dir_;
     config_.log_segment_size = 1 << 16;  // small: exercises rotation
     config_.log_buffer_size = 1 << 20;
-    log_ = std::make_unique<LogManager>(config_);
+    log_ = std::make_unique<LogManager>(config_, &metrics_);
     ASSERT_TRUE(log_->Open().ok());
   }
   void TearDown() override {
@@ -195,6 +195,7 @@ class LogManagerTest : public ::testing::Test {
 
   std::string dir_;
   EngineConfig config_;
+  metrics::EngineMetrics metrics_;
   std::unique_ptr<LogManager> log_;
 };
 
@@ -233,8 +234,9 @@ TEST_F(LogManagerTest, SegmentRotationProducesValidLsns) {
     }
     EXPECT_TRUE(found);
   }
-  EXPECT_GE(log_->segment_rotations(), 4u);
-  EXPECT_GE(log_->skip_blocks(), 1u);  // segment-closing skips
+  EXPECT_GE(metrics_.Sum(metrics::Ctr::kLogSegmentRotations), 4u);
+  // Segment-closing skips.
+  EXPECT_GE(metrics_.Sum(metrics::Ctr::kLogSkipBlocks), 1u);
 }
 
 TEST_F(LogManagerTest, ScanSeesCommittedBlocksInOrder) {
@@ -337,7 +339,7 @@ TEST_F(LogManagerTest, ResumeAppendsAfterRestart) {
   log_->InstallBlock(first, block.data(), static_cast<uint32_t>(block.size()));
   log_->WaitForDurable(log_->CurrentOffset());
   log_->Close();
-  log_ = std::make_unique<LogManager>(config_);
+  log_ = std::make_unique<LogManager>(config_, &metrics_);
   ASSERT_TRUE(log_->Open().ok());
   Lsn second = log_->ReserveBlock(64);
   EXPECT_GT(second.offset(), first.offset());

@@ -352,7 +352,7 @@ TEST_P(RecoveryTest, RecoveryAcrossManyRotatedSegments) {
   for (int i = 0; i < kN; i += 7) {
     Put("seg" + std::to_string(i), "overwritten" + std::to_string(i));
   }
-  ASSERT_GT((*db_)->log().segment_rotations(), 4u);
+  ASSERT_GT((*db_)->metrics().Sum(metrics::Ctr::kLogSegmentRotations), 4u);
 
   db_->ShutDown();
   db_->Restart(small);

@@ -62,7 +62,32 @@ class SerializabilityStressTest : public ::testing::TestWithParam<CcScheme> {
     }
   }
 
-  // Runs the random mixed workload under `scheme`, feeding the oracle.
+  // Reads 2-4 random records by key with one MultiGet and feeds each read
+  // to the footprint. False if the batch stopped (the caller aborts).
+  bool BatchRead(Transaction& txn, FastRandom& rng,
+                 testing::FootprintBuilder& fp) {
+    constexpr size_t kMax = 4;
+    const size_t n = rng.UniformU64(2, kMax);
+    char keys[kMax][8];
+    Slice slices[kMax];
+    Slice values[kMax];
+    Status statuses[kMax];
+    int recs[kMax];
+    for (size_t i = 0; i < n; ++i) {
+      recs[i] = static_cast<int>(rng.UniformU64(0, kRecords - 1));
+      std::snprintf(keys[i], sizeof keys[i], "r%02d", recs[i]);
+      slices[i] = Slice(keys[i]);
+    }
+    if (!txn.MultiGet(pk_, slices, n, values, statuses).ok()) return false;
+    for (size_t i = 0; i < n; ++i) {
+      if (!statuses[i].ok()) return false;  // no record is ever deleted
+      fp.OnRead(oids_[recs[i]], values[i]);
+    }
+    return true;
+  }
+
+  // Runs the random mixed workload under `scheme`, feeding the oracle. A
+  // quarter of the ops are batched reads.
   void RunWorkload(CcScheme scheme) {
     auto worker = [&](int seed) {
       FastRandom rng(seed);
@@ -72,6 +97,10 @@ class SerializabilityStressTest : public ::testing::TestWithParam<CcScheme> {
         bool aborted = false;
         const int nops = 2 + static_cast<int>(rng.UniformU64(0, 3));
         for (int op = 0; op < nops && !aborted; ++op) {
+          if (rng.Bernoulli(0.25)) {
+            aborted = !BatchRead(txn, rng, fp);
+            continue;
+          }
           const int rec = static_cast<int>(rng.UniformU64(0, kRecords - 1));
           Slice v;
           Status rs = txn.Read(table_, oids_[rec], &v);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -156,6 +158,45 @@ TEST(VersionAllocTest, EpochDeferredReuseWaitsForBoundary) {
   EXPECT_TRUE(reused);
   for (Version* w : drain) Version::Free(w);
   va.SetPoison(false);
+  va.DetachEpoch(&mgr);
+}
+
+// With the epoch pinned, as a GC pass pins it for its whole run, nothing
+// retired can be reclaimed, and each periodic harvest must cost O(1) rather
+// than a walk over all of limbo: retiring 4x the versions takes at most 5x
+// as long. Best of three runs per size, to ride out a loaded machine.
+TEST(VersionAllocTest, PinnedRetireScalesLinearly) {
+  VersionAllocator& va = VersionAllocator::Instance();
+  va.SetMode(VersionAllocMode::kSlab);
+  EpochManager mgr;
+  va.AttachEpoch(&mgr);
+  ThreadRegistry::MyId();
+  std::vector<void*> blocks;
+  const auto best_retire_seconds = [&](size_t n) {
+    double best = 1e9;
+    for (int run = 0; run < 3; ++run) {
+      blocks.resize(n);
+      uint8_t cls = 0;
+      for (void*& b : blocks) b = va.Allocate(sizeof(Version), &cls);
+      mgr.Enter();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (void* b : blocks) va.FreeDeferred(b, cls, &mgr);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - t0;
+      best = std::min(best, took.count());
+      EXPECT_EQ(va.HarvestThisThread(), 0u);  // still pinned
+      mgr.Exit();
+      mgr.Advance();
+      EXPECT_GE(va.HarvestThisThread(), n);
+    }
+    return best;
+  };
+  const double one = best_retire_seconds(1u << 20);
+  const double four = best_retire_seconds(4u << 20);
+  EXPECT_LE(four, 5 * one) << "1M: " << one << " s, 4M: " << four << " s";
+  blocks.clear();
+  blocks.shrink_to_fit();
+  va.FlushThisThread();
   va.DetachEpoch(&mgr);
 }
 
