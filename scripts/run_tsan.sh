@@ -2,9 +2,11 @@
 # ThreadSanitizer pass over the concurrency-sensitive suites, built with
 # -DERMIA_SANITIZE=thread. The SSN parallel-commit protocol is latch-free, the
 # log flusher reads ring bytes that producers publish only through the
-# completion frontier, and the B+-tree's optimistic readers (single-key and
-# batched lookups) race its writers' splits, so their correctness rests on
-# the memory orderings TSan checks here.
+# completion frontier, the B+-tree's optimistic readers (single-key and
+# batched lookups) race its writers' splits, and the maintenance thread's
+# phases (checkpoint, GC, snapshot tick, watchdog, reporter; engine_edge_test)
+# run against committing workers, so their correctness rests on the memory
+# orderings TSan checks here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +16,8 @@ cmake --build "$BUILD_DIR" -j --target \
   cc_ssn_test cc_ssn_parallel_test txn_semantics_test concurrency_test \
   metrics_test trace_test version_alloc_test ssn_readopt_test \
   serializability_stress_test crash_recovery_harness \
-  degraded_mode_test governor_test log_test log_edge_test btree_stress_test
+  degraded_mode_test governor_test log_test log_edge_test btree_stress_test \
+  engine_edge_test
 
 # tsan.supp waives only the optimistic-lock-coupling reads in the B+-tree
 # (benign by protocol: validated against the node version word and retried).
@@ -22,7 +25,7 @@ export TSAN_OPTIONS=${TSAN_OPTIONS:-"halt_on_error=1 suppressions=$PWD/tsan.supp
 for t in cc_ssn_test cc_ssn_parallel_test txn_semantics_test concurrency_test \
          metrics_test trace_test version_alloc_test ssn_readopt_test \
          serializability_stress_test degraded_mode_test governor_test \
-         log_test log_edge_test btree_stress_test; do
+         log_test log_edge_test btree_stress_test engine_edge_test; do
   echo "=== $t (tsan) ==="
   "$BUILD_DIR/tests/$t"
 done

@@ -16,7 +16,7 @@
 //       serializes at S with zero tracking (the Fekete et al. read-only
 //       anomaly is exactly a backward edge crossing the snapshot point).
 //
-// Protocol (single daemon thread drives Tick; see docs/INTERNALS.md
+// Protocol (the engine's maintenance thread drives Tick; see docs/INTERNALS.md
 // "Read-mostly optimizations" for the proof):
 //
 //   a. Pick candidate c = current log tail, record mark = gc-epoch E,
@@ -35,7 +35,7 @@
 //      have drained and recorded by step b.
 //
 // Recording is candidate-independent and cheap (per-thread shard, bounded
-// table, overflow folds into one conservative interval), so the daemon never
+// table, overflow folds into one conservative interval), so the tick never
 // coordinates with committers beyond the epoch it already shares.
 #ifndef ERMIA_CC_SAFE_SNAPSHOT_H_
 #define ERMIA_CC_SAFE_SNAPSHOT_H_
@@ -77,12 +77,12 @@ class SafeSnapshotManager {
   // drain in Tick step b is what makes the record visible to validation).
   void RecordBackwardEdge(uint64_t sstamp_off, uint64_t cstamp_off);
 
-  // One state-machine step; called by the engine's snapshot daemon (and by
+  // One state-machine step; called by the engine's maintenance loop (and by
   // tests). `gc_epoch` must be the same manager transactions Enter() around
   // their lifetime; `log_tail` is the current log tail offset, loaded by the
   // caller immediately before the call (sequenced before the epoch advance
   // inside). Internally latched so a test-driven Tick cannot race the
-  // daemon's. In a quiesced system one call selects, validates, and
+  // loop's. In a quiesced system one call selects, validates, and
   // publishes.
   void Tick(EpochManager& gc_epoch, uint64_t log_tail);
 
@@ -106,7 +106,7 @@ class SafeSnapshotManager {
 
   // Per-thread shard: bounded interval table + one conservative fold for
   // overflow. The latch is uncontended in steady state (owner thread +
-  // occasional daemon scan/prune).
+  // occasional tick scan/prune).
   struct alignas(kCacheLineSize) Shard {
     SpinLatch latch;
     static constexpr uint32_t kCapacity = 32;

@@ -370,7 +370,7 @@ Status Transaction::SsnCommit() {
     // Safe-snapshot maintenance: a commit whose final π lands below its
     // cstamp is a committed backward rw-dependency — no safe point may land
     // inside (π, cstamp] (cc/safe_snapshot.h). Recorded before Finish exits
-    // the gc epoch, which is what the snapshot daemon's drain waits on.
+    // the gc epoch, which is what the snapshot tick's drain waits on.
     const uint64_t s_off = Lsn(final_sstamp).offset();
     const uint64_t c_off = Lsn(cstamp).offset();
     if (s_off < c_off) db_->safesnap().RecordBackwardEdge(s_off, c_off);

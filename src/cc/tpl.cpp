@@ -99,10 +99,12 @@ Status Transaction::TplUpdate(Table* table, Oid oid, const Slice& value,
   return Status::OK();
 }
 
-Status Transaction::TplCommit() {
+Status Transaction::TplCertify() {
   // Phantom protection via node-set validation, as in OCC/SSN (key-range
   // locking would be the classic alternative; the paper names both, §3.6.2).
-  // Under strict 2PL this validation is the whole certification phase.
+  // Under strict 2PL this validation is the whole certification phase, for
+  // writers and writer-free transactions alike: record locks cannot stop an
+  // insert into a range the transaction found empty.
   if (ERMIA_UNLIKELY(traced_)) {
     trace::Emit(trace::Event::kCertifyBegin, tid_, 0, 0);
   }
@@ -113,8 +115,12 @@ Status Transaction::TplCommit() {
   if (!ns.ok()) {
     MarkAbort(metrics::AbortReason::kPhantom);
     Abort();
-    return ns;
   }
+  return ns;
+}
+
+Status Transaction::TplCommit() {
+  ERMIA_RETURN_NOT_OK(TplCertify());
   const Lsn clsn = ClaimCommitStamp();
   InstallCommitBlock(clsn);
   ctx_->StoreState(TxnState::kCommitted);

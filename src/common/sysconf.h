@@ -90,7 +90,8 @@ struct EngineConfig {
   // ERMIA_SSN_READOPT=on.
   bool ssn_read_opt = false;
 
-  // Garbage collection: background thread trims version chains.
+  // Garbage collection: the maintenance loop's GC phase trims version chains
+  // every gc_interval_ms.
   bool enable_gc = true;
   uint64_t gc_interval_ms = 40;
 
@@ -108,17 +109,18 @@ struct EngineConfig {
   uint32_t recovery_threads = 0;
 
   // Periodic fuzzy checkpoints (paper §3.7: "OID arrays are periodically
-  // copied"). 0 disables the daemon; checkpoints can still be taken
-  // explicitly via Database::TakeCheckpoint().
+  // copied"), a phase of the maintenance loop. 0 disables the phase;
+  // checkpoints can still be taken explicitly via Database::TakeCheckpoint().
   uint64_t checkpoint_interval_ms = 0;
 
   // Version allocation backend. The ERMIA_VERSION_ALLOCATOR environment
   // variable ("slab" | "malloc") overrides this at Database construction.
   VersionAllocMode version_allocator = VersionAllocMode::kSlab;
 
-  // Metrics reporter daemon: every interval, emit a JSON-lines delta of the
-  // engine metrics snapshot. 0 disables the daemon (the registry itself is
-  // always on and queryable via Database::SnapshotMetrics()).
+  // Metrics reporter phase of the maintenance loop: every interval, emit a
+  // JSON-lines delta of the engine metrics snapshot. 0 disables the phase
+  // (the registry itself is always on and queryable via
+  // Database::SnapshotMetrics()).
   uint64_t metrics_report_interval_ms = 0;
 
   // Destination for reporter output; empty = stderr.
@@ -175,7 +177,7 @@ struct EngineConfig {
   // meaningful; quiet ticks leave the limit untouched.
   uint32_t governor_min_sample = 64;
 
-  // Engine watchdog (engine/watchdog.h): background daemon that detects a
+  // Engine watchdog (engine/watchdog.h): maintenance-loop phase that detects a
   // non-advancing durable offset with pending log bytes, stuck epoch
   // boundaries, and a stuck safe-snapshot horizon; a trip logs one line,
   // bumps kWatchdogTrips, and (if watchdog_dump_dir is set) drops a trace

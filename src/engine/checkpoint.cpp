@@ -190,10 +190,12 @@ Status Database::TakeCheckpoint(uint64_t* begin_offset_out) {
   }
 
   // Every address we recorded must be durable before the checkpoint counts.
-  // A degraded log cannot promise that: on a poisoned log this returns
-  // LogUnavailable and the checkpoint is refused rather than written with
-  // addresses that may never become durable.
-  ERMIA_RETURN_NOT_OK(log_.WaitForDurable(log_.CurrentOffset()));
+  // A degraded log cannot promise that: on a poisoned or stalled log this
+  // returns LogUnavailable and the checkpoint is refused rather than written
+  // with addresses that may never become durable, or left parked behind a
+  // full disk on the maintenance thread.
+  ERMIA_RETURN_NOT_OK(
+      log_.WaitForDurable(log_.CurrentOffset(), /*stall_fails=*/true));
 
   const std::string data_path =
       config_.log_dir + "/" + CheckpointDataName(begin);

@@ -1,9 +1,11 @@
 #include "engine/database.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "common/profiling.h"
 #include "engine/governor.h"
@@ -96,17 +98,12 @@ Database::Database(EngineConfig config)
           // pin the trim horizon to the previous tick's value so a reader
           // between its published() load and its TID-table registration
           // (nanoseconds) can never see its snapshot trimmed (the horizon
-          // follows a full daemon tick behind).
+          // follows a full snapshot tick behind).
           oldest = std::min(oldest, safesnap_.gc_horizon());
         }
         return oldest;
       },
       &metrics_);
-  if (config_.metrics_report_interval_ms > 0) {
-    reporter_ = std::make_unique<metrics::Reporter>(
-        [this] { return SnapshotMetrics(); },
-        config_.metrics_report_interval_ms, config_.metrics_report_path);
-  }
 }
 
 Database::~Database() {
@@ -135,76 +132,131 @@ Status Database::Open() {
   ERMIA_RETURN_NOT_OK(log_.Open());
   occ_snapshot_.store(log_.CurrentOffset(), std::memory_order_release);
   safesnap_.Reset(log_.CurrentOffset());
-  if (config_.enable_gc) gc_->Start(config_.gc_interval_ms);
-  stop_daemons_.store(false);
-  snapshot_daemon_ = std::thread([this] {
-    uint64_t last_safe = safesnap_.published();
-    while (!stop_daemons_.load(std::memory_order_acquire)) {
-      RefreshOccSnapshot();
-      // Safe-snapshot LSN state machine (cc/safe_snapshot.h). Always ticked
-      // so the gauge tracks reality regardless of the feature flags; the
-      // tail must be loaded before the call (it is sequenced before the
-      // epoch advance inside).
-      safesnap_.Tick(gc_epoch_, log_.CurrentOffset());
-      const uint64_t safe = safesnap_.published();
-      if (safe != last_safe) {
-        last_safe = safe;
-        trace::Emit(trace::Event::kSafeSnapshotPublish, 0, safe,
-                    safesnap_.GetStats().burnt);
-      }
-      if (governor_ != nullptr) {
-        // AIMD control tick: feed cumulative commit/abort counts; the
-        // governor diffs them internally. Sum() walks the shards with
-        // relaxed loads — cheap enough for a per-tick sample.
-        uint64_t aborts = 0;
-        for (uint32_t c = metrics::kAbortCtrBase;
-             c <= static_cast<uint32_t>(metrics::Ctr::kAbortOther); ++c) {
-          aborts += metrics_.Sum(static_cast<metrics::Ctr>(c));
-        }
-        governor_->Tick(metrics_.Sum(metrics::Ctr::kTxnCommits), aborts);
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.occ_snapshot_interval_ms));
-    }
-    ThreadRegistry::Deregister();
-  });
-  if (config_.checkpoint_interval_ms > 0 && !log_.in_memory()) {
-    checkpoint_daemon_ = std::thread([this] {
-      while (!stop_daemons_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.checkpoint_interval_ms));
-        if (stop_daemons_.load(std::memory_order_acquire)) break;
-        if (TakeCheckpoint(nullptr).ok()) {
-          metrics_.Inc(metrics::Ctr::kCheckpointsTaken);
-        }
-      }
-      ThreadRegistry::Deregister();
-    });
-  }
   if (config_.watchdog_interval_ms > 0) {
     // Constructed here (not in the Database ctor) so its baselines seed from
-    // the post-Open log offsets rather than zeros — and before the reporter
-    // starts, because SnapshotMetrics reads the watchdog_ pointer from the
-    // reporter's thread.
+    // the post-Open log offsets rather than zeros.
     watchdog_ = std::make_unique<Watchdog>(this);
-    watchdog_->Start();
   }
-  if (reporter_ != nullptr) reporter_->Start();
+  if (config_.metrics_report_interval_ms > 0) {
+    reporter_ = std::make_unique<metrics::Reporter>(
+        [this] { return SnapshotMetrics(); },
+        config_.metrics_report_interval_ms, config_.metrics_report_path);
+  }
+  stop_maintenance_ = false;
+  maintenance_ = std::thread([this] { MaintenanceLoop(); });
   open_ = true;
   return Status::OK();
 }
 
+void Database::MaintenanceLoop() {
+  using Clock = std::chrono::steady_clock;
+  uint64_t last_safe = safesnap_.published();
+  auto snapshot_tick = [&] {
+    RefreshOccSnapshot();
+    // Safe-snapshot LSN state machine (cc/safe_snapshot.h). Always ticked
+    // so the gauge tracks reality regardless of the feature flags; the tail
+    // must be loaded before the call (it is sequenced before the epoch
+    // advance inside).
+    safesnap_.Tick(gc_epoch_, log_.CurrentOffset());
+    const uint64_t safe = safesnap_.published();
+    if (safe != last_safe) {
+      last_safe = safe;
+      trace::Emit(trace::Event::kSafeSnapshotPublish, 0, safe,
+                  safesnap_.GetStats().burnt);
+    }
+    if (governor_ != nullptr) {
+      // AIMD control tick: feed cumulative commit/abort counts; the
+      // governor diffs them internally. Sum() walks the shards with relaxed
+      // loads — cheap enough for a per-tick sample.
+      uint64_t aborts = 0;
+      for (uint32_t c = metrics::kAbortCtrBase;
+           c <= static_cast<uint32_t>(metrics::Ctr::kAbortOther); ++c) {
+        aborts += metrics_.Sum(static_cast<metrics::Ctr>(c));
+      }
+      governor_->Tick(metrics_.Sum(metrics::Ctr::kTxnCommits), aborts);
+    }
+  };
+  auto gc_pass = [this] {
+    gc_->RunOnce();
+    gc_epoch_.Advance();
+    gc_epoch_.RunReclaimers();
+  };
+  auto checkpoint = [this] {
+    // Never on a degraded log: a checkpoint must not park the shared thread
+    // (and TakeCheckpoint gives up if the log stalls during its wait).
+    if (log_.health() == LogHealth::kHealthy && TakeCheckpoint(nullptr).ok()) {
+      metrics_.Inc(metrics::Ctr::kCheckpointsTaken);
+    }
+  };
+  // Each phase next runs one period after its previous run ended, so it keeps
+  // the cadence it had on a thread of its own that slept between runs. The
+  // snapshot tick and the GC pass run at once; the others first after one
+  // period. A period of 0 turns the checkpoint, the watchdog and the
+  // reporter off; the snapshot tick and the GC pass then run on every turn
+  // of the loop.
+  struct Phase {
+    bool on;
+    uint64_t period_ms;
+    std::function<void()> run;
+    Clock::time_point due;
+  };
+  const auto start = Clock::now();
+  const auto after = [start](uint64_t ms) {
+    return start + std::chrono::milliseconds(ms);
+  };
+  Phase phases[] = {
+      {true, config_.occ_snapshot_interval_ms, snapshot_tick, start},
+      {config_.enable_gc, config_.gc_interval_ms, gc_pass, start},
+      {config_.checkpoint_interval_ms > 0 && !log_.in_memory(),
+       config_.checkpoint_interval_ms, checkpoint,
+       after(config_.checkpoint_interval_ms)},
+      {watchdog_ != nullptr, config_.watchdog_interval_ms,
+       [this] { watchdog_->CheckOnce(); }, after(config_.watchdog_interval_ms)},
+      {reporter_ != nullptr, config_.metrics_report_interval_ms,
+       [this] { reporter_->EmitDelta(); },
+       after(config_.metrics_report_interval_ms)},
+  };
+  std::unique_lock<std::mutex> lk(maintenance_mu_);
+  while (!stop_maintenance_) {
+    // The snapshot tick is always on, so the loop always has a deadline.
+    Clock::time_point next = Clock::time_point::max();
+    for (Phase& p : phases) {
+      if (!p.on || stop_maintenance_) continue;
+      if (Clock::now() >= p.due) {
+        lk.unlock();
+        p.run();
+        lk.lock();
+        p.due = Clock::now() + std::chrono::milliseconds(p.period_ms);
+      }
+      next = std::min(next, p.due);
+    }
+    maintenance_cv_.wait_until(lk, next, [this] { return stop_maintenance_; });
+  }
+  lk.unlock();
+  ThreadRegistry::Deregister();
+}
+
 void Database::Close() {
   if (!open_) return;
-  // Stop (join) the watchdog before tearing the engine down, but keep the
-  // object alive until ~Database: the reporter daemon is still running and
-  // SnapshotMetrics reads the watchdog_ pointer from its thread.
-  if (watchdog_ != nullptr) watchdog_->Stop();
-  stop_daemons_.store(true);
-  if (snapshot_daemon_.joinable()) snapshot_daemon_.join();
-  if (checkpoint_daemon_.joinable()) checkpoint_daemon_.join();
-  if (reporter_ != nullptr) reporter_->Stop();
-  gc_->Stop();
+  {
+    std::lock_guard<std::mutex> lk(maintenance_mu_);
+    stop_maintenance_ = true;
+  }
+  maintenance_cv_.notify_all();
+  maintenance_.join();
+  // The watchdog object stays alive until ~Database: SnapshotMetrics reads
+  // the watchdog_ pointer.
+  if (reporter_ != nullptr) {
+    reporter_->EmitDelta();  // final partial interval
+    reporter_.reset();
+  }
+  if (config_.enable_gc) {
+    // Final sweep so tests observe deterministic reclamation.
+    gc_->RunOnce();
+    gc_epoch_.Advance();
+    gc_epoch_.Advance();
+    gc_epoch_.RunReclaimers();
+  }
   log_.Close();
   if (trace_owner_) {
     // ERMIA_TRACE_DUMP=<path>: dump on close, so benches and CI capture a
@@ -281,7 +333,7 @@ metrics::MetricsSnapshot Database::SnapshotMetrics() const {
   uint64_t splits = 0;
   uint64_t retries = 0;
   {
-    // The Reporter daemon snapshots while the application may still be
+    // The reporter phase snapshots while the application may still be
     // creating schema; the latch pins the index list for the walk.
     SpinLatchGuard g(catalog_latch_);
     for (const Index* idx : index_list_) {

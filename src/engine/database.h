@@ -2,13 +2,16 @@
 //
 // Engine facade: owns the physical layer (log manager, TID manager, epoch
 // managers, garbage collector), the catalog (tables and indexes sharing one
-// FID space), and the recovery/checkpoint machinery. Applications create
+// FID space), the recovery/checkpoint machinery, and the maintenance thread
+// that runs all background work but the log flusher. Applications create
 // schema objects once, then run Transactions against them.
 #ifndef ERMIA_ENGINE_DATABASE_H_
 #define ERMIA_ENGINE_DATABASE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -41,7 +44,7 @@ class Database {
   ~Database();
   ERMIA_NO_COPY(Database);
 
-  // Starts the log, garbage collector, and snapshot daemon.
+  // Starts the log (and its flusher thread) and the maintenance thread.
   Status Open();
   void Close();
 
@@ -49,7 +52,7 @@ class Database {
   // Schema creation is single-threaded (startup/recovery time). FIDs are
   // assigned in creation order, so re-creating the same schema in the same
   // order before Recover() reproduces the FID mapping. Creation does take
-  // catalog_latch_, though: the metrics Reporter daemon may snapshot (and so
+  // catalog_latch_, though: the metrics reporter phase may snapshot (and so
   // walk the index list) while the application is still creating schema.
   Table* CreateTable(const std::string& name);
   Index* CreateIndex(Table* table, const std::string& name);
@@ -63,7 +66,8 @@ class Database {
   // ---- durability ----
   // Fuzzy checkpoint of the OID arrays (paper §3.7): per-index (key, oid,
   // clsn, log address) dumps plus a marker file; returns the checkpoint's
-  // begin offset.
+  // begin offset. Refused with LogUnavailable if the log is poisoned, or
+  // stalls, before the dumped addresses are durable.
   Status TakeCheckpoint(uint64_t* begin_offset = nullptr);
 
   // Rebuilds OID arrays and indexes from the latest checkpoint (if any) and
@@ -97,7 +101,7 @@ class Database {
   const EngineConfig& config() const { return config_; }
 
   // Read-only snapshot offset for OCC (Silo's snapshot mechanism): refreshed
-  // by a daemon every occ_snapshot_interval_ms.
+  // by the maintenance loop every occ_snapshot_interval_ms.
   uint64_t occ_snapshot_offset() const {
     return occ_snapshot_.load(std::memory_order_acquire);
   }
@@ -115,7 +119,7 @@ class Database {
   }
 
   // Safe-snapshot LSN maintenance for the SSN read-mostly optimizations
-  // (cc/safe_snapshot.h). Always maintained by the snapshot daemon — the
+  // (cc/safe_snapshot.h). Always maintained by the snapshot phase — the
   // gauge and tests don't depend on the feature flags — and consumed when
   // EngineConfig::ssn_safe_snapshot / ssn_read_opt are set.
   SafeSnapshotManager& safesnap() { return safesnap_; }
@@ -135,6 +139,10 @@ class Database {
   // Recover() body; the wrapper adds wall-clock accounting.
   Status RecoverImpl();
 
+  // Body of the maintenance thread: runs each background phase on its
+  // EngineConfig period until Close() sets stop_maintenance_.
+  void MaintenanceLoop();
+
   EngineConfig config_;
   // Declared before every subsystem that holds a pointer into it (log_, gc_,
   // epoch managers) so it outlives them on destruction.
@@ -149,12 +157,12 @@ class Database {
   RecordLockTable lock_table_;  // 2PL baseline only
   EpochManager gc_epoch_;  // version reclamation
   std::unique_ptr<GarbageCollector> gc_;
-  std::unique_ptr<metrics::Reporter> reporter_;  // opt-in via config
+  std::unique_ptr<metrics::Reporter> reporter_;  // opt-in; lives Open..Close
   std::unique_ptr<OverloadGovernor> governor_;   // opt-in via config
   std::unique_ptr<Watchdog> watchdog_;           // created in Open()
 
   // Guards the catalog vectors/maps below against the one legal concurrency:
-  // schema creation racing a metrics snapshot (Reporter daemon,
+  // schema creation racing a metrics snapshot (the reporter phase,
   // SnapshotMetrics from another thread). Worker-side lookups (GetTable,
   // TableByFid) stay latch-free under the documented contract that schema is
   // complete before transactions start.
@@ -169,15 +177,18 @@ class Database {
   std::vector<void*> by_fid_;
   std::vector<bool> fid_is_table_;
 
-  std::thread snapshot_daemon_;
-  std::thread checkpoint_daemon_;
-  std::atomic<bool> stop_daemons_{true};
   std::atomic<uint64_t> occ_snapshot_{kLogStartOffset};
   std::atomic<uint64_t> gc_trim_bound_{0};
   bool open_ = false;
   // True if this Database enabled the (process-global) flight recorder in
   // Open(); only the owner resets the mode on Close().
   bool trace_owner_ = false;
+
+  // Wakes the maintenance loop out of its wait when Close() stops it.
+  std::mutex maintenance_mu_;
+  std::condition_variable maintenance_cv_;
+  bool stop_maintenance_ = false;  // guarded by maintenance_mu_
+  std::thread maintenance_;
 };
 
 }  // namespace ermia

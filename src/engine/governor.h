@@ -44,7 +44,8 @@ class OverloadGovernor {
 
   // One AIMD step. `commits`/`aborts` are cumulative engine counters (the
   // caller samples metrics::EngineMetrics::Sum); the governor diffs them
-  // against the previous tick. Single caller only (the snapshot daemon).
+  // against the previous tick. Single caller only (the maintenance loop's
+  // snapshot tick).
   void Tick(uint64_t commits, uint64_t aborts);
 
   uint32_t writer_limit() const {

@@ -34,39 +34,6 @@ Watchdog::Watchdog(Database* db) : db_(db) {
   safesnap_tail_ = db_->log().CurrentOffset();
 }
 
-Watchdog::~Watchdog() { Stop(); }
-
-void Watchdog::Start() {
-  if (!stop_.load(std::memory_order_acquire)) return;
-  stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Watchdog::Stop() {
-  {
-    std::lock_guard<std::mutex> lk(stop_mu_);
-    if (stop_.exchange(true, std::memory_order_acq_rel)) return;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::Loop() {
-  const auto interval =
-      std::chrono::milliseconds(db_->config().watchdog_interval_ms);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(stop_mu_);
-      stop_cv_.wait_for(lk, interval, [this] {
-        return stop_.load(std::memory_order_acquire);
-      });
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    CheckOnce();
-  }
-  ThreadRegistry::Deregister();
-}
-
 bool Watchdog::GraceElapsed(Clock::time_point since,
                             uint64_t multiplier) const {
   return Clock::now() - since >= std::chrono::milliseconds(

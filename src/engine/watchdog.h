@@ -1,6 +1,7 @@
 // Copyright (c) ERMIA reproduction authors. Licensed under the MIT license.
 //
-// Engine watchdog: a low-frequency daemon that detects the silent failure
+// Engine watchdog: a low-frequency check, run by the Database's maintenance
+// loop every EngineConfig::watchdog_interval_ms, that detects the silent failure
 // modes graceful degradation can leave behind — a flusher that stopped
 // advancing durability while completed bytes pile up, an epoch reclaim
 // boundary pinned by a straggler, a safe-snapshot horizon frozen while the
@@ -15,10 +16,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "common/macros.h"
 
@@ -47,15 +45,11 @@ class Watchdog {
   };
 
   explicit Watchdog(Database* db);
-  ~Watchdog();
   ERMIA_NO_COPY(Watchdog);
 
-  void Start();
-  void Stop();
-
   // One detection pass over all signals; returns the first reason tripped
-  // this pass (kNone if quiet). Public so tests drive detection
-  // deterministically instead of sleeping out the daemon interval.
+  // this pass (kNone if quiet). Tests call it directly to drive detection
+  // deterministically instead of sleeping out the interval.
   Reason CheckOnce();
 
   uint64_t trips() const { return trips_.load(std::memory_order_relaxed); }
@@ -66,19 +60,14 @@ class Watchdog {
  private:
   using Clock = std::chrono::steady_clock;
 
-  void Loop();
   void Trip(Reason reason, uint64_t detail);
   bool GraceElapsed(Clock::time_point since, uint64_t multiplier = 1) const;
 
   Database* db_;
-  std::thread thread_;
-  std::atomic<bool> stop_{true};
-  // Wakes the daemon out of its interval sleep so Stop() returns promptly.
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
 
   // Last observed signal values + when each last changed (CheckOnce-thread
-  // private; tests and the daemon never run CheckOnce concurrently).
+  // private; tests and the maintenance loop never run CheckOnce
+  // concurrently).
   uint64_t seen_durable_ = 0;
   Clock::time_point durable_since_{};
   uint64_t seen_boundary_ = 0;

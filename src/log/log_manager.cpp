@@ -314,24 +314,28 @@ void LogManager::WaitForBufferSpace(uint64_t end_offset) {
   });
 }
 
-Status LogManager::WaitForDurable(uint64_t offset) {
+Status LogManager::WaitForDurable(uint64_t offset, bool stall_fails) {
   auto unavailable = [&] {
     return Status::LogUnavailable(
         std::string("log ") + LogHealthName(health()) +
         ": durability frozen at offset " + std::to_string(DurableOffset()));
   };
+  auto given_up = [&] {
+    const LogHealth h = health();
+    return h == LogHealth::kPoisoned ||
+           (stall_fails && h == LogHealth::kStalled);
+  };
   if (durable_offset_.load(std::memory_order_acquire) >= offset) {
     return Status::OK();
   }
-  if (ERMIA_UNLIKELY(health() == LogHealth::kPoisoned)) return unavailable();
+  if (ERMIA_UNLIKELY(given_up())) return unavailable();
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lk(flush_mu_);
     flush_cv_.notify_all();
     durable_cv_.wait(lk, [&] {
       return durable_offset_.load(std::memory_order_acquire) >= offset ||
-             health() == LogHealth::kPoisoned ||
-             closed_.load(std::memory_order_acquire);
+             given_up() || closed_.load(std::memory_order_acquire);
     });
   }
   if (metrics_ != nullptr) {
@@ -481,6 +485,11 @@ void LogManager::EnterStall(int err) {
                  "rejecting writes, retrying flush\n",
                  std::strerror(err),
                  static_cast<unsigned long long>(DurableOffset()));
+    // Wake the WaitForDurable callers that give up on a stall.
+    {
+      std::lock_guard<std::mutex> lk(flush_mu_);
+    }
+    durable_cv_.notify_all();
   } else {
     // Retry failed again: grow the backoff toward the cap.
     stall_backoff_ms_ =

@@ -128,8 +128,10 @@ class LogManager {
   // Returns LogUnavailable (without acknowledging durability) if the log is
   // poisoned or closed before the target is reached; while merely stalled it
   // keeps waiting, because a successful retry will still make the bytes
-  // durable.
-  Status WaitForDurable(uint64_t offset);
+  // durable. With `stall_fails`, a stall fails the wait as well: for callers
+  // that must not park behind a full disk (a checkpoint on the maintenance
+  // thread, which the GC and the watchdog share).
+  Status WaitForDurable(uint64_t offset, bool stall_fails = false);
 
   uint64_t DurableOffset() const {
     return durable_offset_.load(std::memory_order_acquire);

@@ -9,7 +9,7 @@
 //    single-writer: a relaxed load + relaxed store on a cache line the
 //    writer already owns. No RMW, no fence, no false sharing (shards are
 //    cache-line aligned and written by exactly one thread at a time).
-//  * Readers (snapshots, the reporter daemon) sum the shards with relaxed
+//  * Readers (snapshots, the reporter phase) sum the shards with relaxed
 //    loads. Snapshot semantics: every monotone counter value lies between
 //    its true value when the snapshot started and when it finished, and
 //    repeated snapshots are monotonically non-decreasing per counter. The
@@ -94,7 +94,7 @@ enum class Ctr : uint32_t {
   kGcPasses,
   kGcVersionsReclaimed,
   kGcItemsDeferred,
-  // Periodic checkpoints the checkpoint daemon completed.
+  // Periodic checkpoints the maintenance loop completed.
   kCheckpointsTaken,
   // Recovery (checkpoint load + log-tail replay). The *Us stage times are
   // wall time on the recovering thread: checkpoint load, then per log chunk

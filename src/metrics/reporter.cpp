@@ -1,66 +1,25 @@
 #include "metrics/reporter.h"
 
-#include <chrono>
-
 #include "metrics/json.h"
 
 namespace ermia {
 namespace metrics {
 
 Reporter::Reporter(SnapshotFn source, uint64_t interval_ms, std::string path)
-    : source_(std::move(source)),
-      interval_ms_(interval_ms == 0 ? 1000 : interval_ms),
-      path_(std::move(path)) {}
-
-Reporter::~Reporter() { Stop(); }
-
-void Reporter::Start() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (running_) return;
-    running_ = true;
-    stop_ = false;
-  }
-  if (!path_.empty()) {
-    out_ = std::fopen(path_.c_str(), "w");
+    : source_(std::move(source)), interval_ms_(interval_ms) {
+  if (!path.empty()) {
+    out_ = std::fopen(path.c_str(), "w");
     // Fall back to stderr rather than silently dropping telemetry.
     if (out_ == nullptr) {
       std::fprintf(stderr, "metrics reporter: cannot open %s, using stderr\n",
-                   path_.c_str());
+                   path.c_str());
     }
   }
   last_ = source_();
-  thread_ = std::thread([this] { Run(); });
 }
 
-void Reporter::Stop() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  EmitDelta();  // final partial interval
-  if (out_ != nullptr) {
-    std::fclose(out_);
-    out_ = nullptr;
-  }
-  std::lock_guard<std::mutex> g(mu_);
-  running_ = false;
-}
-
-void Reporter::Run() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lk, std::chrono::milliseconds(interval_ms_),
-                     [this] { return stop_; })) {
-      break;
-    }
-    lk.unlock();
-    EmitDelta();
-    lk.lock();
-  }
+Reporter::~Reporter() {
+  if (out_ != nullptr) std::fclose(out_);
 }
 
 void Reporter::EmitDelta() {
@@ -81,7 +40,6 @@ void Reporter::EmitDelta() {
   std::FILE* f = out_ != nullptr ? out_ : stderr;
   std::fwrite(line.data(), 1, line.size(), f);
   std::fflush(f);
-  ++lines_emitted_;
 }
 
 }  // namespace metrics

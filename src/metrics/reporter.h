@@ -1,20 +1,18 @@
 // Copyright (c) ERMIA reproduction authors. Licensed under the MIT license.
 //
-// Opt-in background thread that periodically emits JSON-lines deltas of the
-// engine metrics snapshot. Enabled via EngineConfig::metrics_report_interval_ms;
-// output goes to EngineConfig::metrics_report_path (empty = stderr).
+// Opt-in JSON-lines deltas of the engine metrics snapshot. Enabled via
+// EngineConfig::metrics_report_interval_ms, which is also how often the
+// Database's maintenance loop calls EmitDelta; output goes to
+// EngineConfig::metrics_report_path (empty = stderr).
 //
 // The reporter pulls snapshots through a std::function so it has no compile-
 // time dependency on Database (which owns both the reporter and the registry).
 #ifndef ERMIA_METRICS_REPORTER_H_
 #define ERMIA_METRICS_REPORTER_H_
 
-#include <condition_variable>
 #include <cstdio>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/macros.h"
 #include "metrics/metrics.h"
@@ -26,35 +24,24 @@ class Reporter {
  public:
   using SnapshotFn = std::function<MetricsSnapshot()>;
 
-  // `path` empty = stderr. Does not start the thread; call Start().
+  // Opens `path` (empty = stderr) and takes the baseline snapshot the first
+  // delta is measured from.
   Reporter(SnapshotFn source, uint64_t interval_ms, std::string path);
+  // Closes the output file; emits nothing (the owner calls EmitDelta for
+  // the final partial interval).
   ~Reporter();
   ERMIA_NO_COPY(Reporter);
 
-  void Start();
-  // Emits one final delta line, then joins. Idempotent.
-  void Stop();
-
-  uint64_t lines_emitted() const { return lines_emitted_; }
-
- private:
-  void Run();
+  // Writes one line: the delta since the previous call (or the baseline).
   void EmitDelta();
 
+ private:
   SnapshotFn source_;
   const uint64_t interval_ms_;
-  const std::string path_;
 
-  std::FILE* out_ = nullptr;  // owned iff path_ is non-empty
+  std::FILE* out_ = nullptr;  // owned; null = stderr
   MetricsSnapshot last_;
   uint64_t seq_ = 0;
-  uint64_t lines_emitted_ = 0;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool running_ = false;
-  std::thread thread_;
 };
 
 }  // namespace metrics

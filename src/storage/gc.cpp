@@ -1,6 +1,7 @@
 #include "storage/gc.h"
 
-#include <chrono>
+#include <algorithm>
+#include <utility>
 
 #include "trace/trace.h"
 
@@ -13,32 +14,6 @@ GarbageCollector::GarbageCollector(EpochManager* gc_epoch,
       oldest_active_(std::move(oldest_active)),
       metrics_(metrics) {}
 
-GarbageCollector::~GarbageCollector() { Stop(); }
-
-void GarbageCollector::Start(uint64_t interval_ms) {
-  ERMIA_CHECK(stop_.load());
-  stop_.store(false);
-  daemon_ = std::thread([this, interval_ms] {
-    while (!stop_.load(std::memory_order_acquire)) {
-      RunOnce();
-      gc_epoch_->Advance();
-      gc_epoch_->RunReclaimers();
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-    ThreadRegistry::Deregister();
-  });
-}
-
-void GarbageCollector::Stop() {
-  if (stop_.exchange(true)) return;
-  if (daemon_.joinable()) daemon_.join();
-  // Final sweep so tests observe deterministic reclamation.
-  RunOnce();
-  gc_epoch_->Advance();
-  gc_epoch_->Advance();
-  gc_epoch_->RunReclaimers();
-}
-
 void GarbageCollector::NotifyUpdate(Table* table, Oid oid) {
   Shard& shard = shards_[ThreadRegistry::MyId() % kMaxThreads];
   SpinLatchGuard g(shard.latch);
@@ -48,11 +23,10 @@ void GarbageCollector::NotifyUpdate(Table* table, Oid oid) {
 size_t GarbageCollector::RunOnce() {
   // Pin the epoch for the whole pass: the chain walk reads versions that a
   // concurrent worker may recycle once the limbo boundary passes their
-  // retirement epoch. The daemon's own post-pass Advance used to be the only
-  // way the boundary could move, which made the walk incidentally safe; now
-  // the safe-snapshot daemon advances this epoch too, so the pass must
-  // register like any other reader. Conditional because tests drive RunOnce
-  // from threads that already hold a pin.
+  // retirement epoch. The pass must not rely on which thread advances the
+  // epoch (the maintenance loop does, and so may any caller of Advance), so
+  // it registers like any other reader. Conditional because tests drive
+  // RunOnce from threads that already hold a pin.
   const bool pin = !gc_epoch_->InEpoch();
   if (pin) gc_epoch_->Enter();
   const bool traced = trace::Active();
@@ -71,6 +45,19 @@ size_t GarbageCollector::RunOnce() {
       shard.queue.clear();
     }
   }
+  // A hot record is queued once per update, and each walk passes every
+  // version committed since the pass began. Walked once per entry, a hot
+  // chain costs time quadratic in the updates per pass, and a slow pass lets
+  // more queue until it never ends. Walk each record once.
+  std::sort(batch.begin(), batch.end(), [](const Item& a, const Item& b) {
+    return std::make_pair(a.table->fid(), a.oid) <
+           std::make_pair(b.table->fid(), b.oid);
+  });
+  batch.erase(std::unique(batch.begin(), batch.end(),
+                          [](const Item& a, const Item& b) {
+                            return a.table == b.table && a.oid == b.oid;
+                          }),
+              batch.end());
   size_t reclaimed = 0;
   for (const Item& item : batch) {
     Version* head = item.table->array().Head(item.oid);

@@ -5,14 +5,14 @@
 // each chain down to the newest version still visible to the oldest active
 // transaction, unlinking older versions and deferring the actual frees to the
 // GC epoch manager so in-flight readers are never pulled out from under.
+// The collector owns no thread: the Database's maintenance loop runs a pass
+// every EngineConfig::gc_interval_ms.
 #ifndef ERMIA_STORAGE_GC_H_
 #define ERMIA_STORAGE_GC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/macros.h"
@@ -33,17 +33,13 @@ class GarbageCollector {
   GarbageCollector(EpochManager* gc_epoch,
                    std::function<uint64_t()> oldest_active,
                    metrics::EngineMetrics* metrics = nullptr);
-  ~GarbageCollector();
   ERMIA_NO_COPY(GarbageCollector);
-
-  void Start(uint64_t interval_ms);
-  void Stop();
 
   // Called by committing transactions for every record they overwrote.
   void NotifyUpdate(Table* table, Oid oid);
 
   // One collection pass; returns versions reclaimed (tests call this
-  // directly; the daemon calls it on its interval).
+  // directly; the maintenance loop calls it on its interval).
   size_t RunOnce();
 
  private:
@@ -65,9 +61,6 @@ class GarbageCollector {
     std::deque<Item> queue;
   };
   Shard shards_[kMaxThreads];
-
-  std::thread daemon_;
-  std::atomic<bool> stop_{true};
 };
 
 }  // namespace ermia

@@ -24,10 +24,10 @@
 //    entries it reclaims (only then is the first word reused as the
 //    freelist link). Free() without an epoch is reserved for versions that
 //    were never published to a chain.
-//  * Transfer cache. Freelist overflow (e.g. the GC daemon reclaiming whole
+//  * Transfer cache. Freelist overflow (e.g. the GC pass reclaiming whole
 //    chains) is flushed to a per-class lock-free Treiber stack in batches of
 //    kTransferBatch intrusively linked blocks; worker threads splice batches
-//    back on a freelist miss. Memory freed by the GC daemon thus flows back
+//    back on a freelist miss. Memory freed by the GC pass thus flows back
 //    to workers without a lock and without crossing malloc.
 //  * Epoch-manager registry. Databases attach their gc epoch manager at
 //    construction and detach before destruction. Limbo entries name their

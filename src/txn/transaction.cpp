@@ -611,9 +611,10 @@ Status Transaction::Commit() {
     // readers must publish their pstamps so writers see them). An OCC
     // transaction that was NOT declared read-only read "latest committed"
     // at each access — instants that may span many foreign commits — so its
-    // read set must still pass Silo's commit-time validation; only declared
-    // read-only transactions (one consistent snapshot) and SI snapshot
-    // readers commit trivially.
+    // read set must still pass Silo's commit-time validation, and a 2PL
+    // transaction's node set must pass the same certification a 2PL writer
+    // runs, before its locks go; only declared read-only transactions (one
+    // consistent snapshot) and SI snapshot readers commit trivially.
     if (scheme_ == CcScheme::kSiSsn &&
         (!read_set_.empty() || !read_opt_set_.empty())) {
       return SsnCommit();
@@ -621,7 +622,10 @@ Status Transaction::Commit() {
     if (scheme_ == CcScheme::kOcc && !read_only_ && !read_set_.empty()) {
       return OccReadOnlyCommit();
     }
-    if (scheme_ == CcScheme::k2pl) TplReleaseAll();
+    if (scheme_ == CcScheme::k2pl) {
+      ERMIA_RETURN_NOT_OK(TplCertify());
+      TplReleaseAll();
+    }
     ctx_->StoreState(TxnState::kCommitted);
     Finish(true);
     return Status::OK();

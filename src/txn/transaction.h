@@ -236,6 +236,8 @@ class Transaction {
   Status TplAcquire(Table* table, Oid oid, bool exclusive);
   Status TplRead(Table* table, Oid oid, Slice* value);
   Status TplUpdate(Table* table, Oid oid, const Slice& value, bool tombstone);
+  // Node-set validation; on failure aborts (kPhantom) and returns the error.
+  Status TplCertify();
   Status TplCommit();
   void TplReleaseAll();
 

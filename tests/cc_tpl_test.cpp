@@ -226,5 +226,27 @@ TEST_F(TplTest, PhantomInsertAbortsScanner) {
   }
 }
 
+// A writer-free 2PL transaction is certified like a writer: record locks
+// cannot cover a key it found missing, so without node-set validation it
+// could miss an insert yet read another write of the same commit.
+TEST_F(TplTest, WriterFreeCommitValidatesNodeSet) {
+  const Oid x = OidOf("x");
+  Transaction reader(db_->get(), CcScheme::k2pl);
+  Slice v;
+  ASSERT_TRUE(reader.Get(pk_, "gap", &v).IsNotFound());
+  {
+    Transaction writer(db_->get(), CcScheme::k2pl);
+    ASSERT_TRUE(writer.Insert(table_, pk_, "gap", "g", nullptr).ok());
+    ASSERT_TRUE(writer.Update(table_, x, "x1").ok());
+    ASSERT_TRUE(writer.Commit().ok());
+  }
+  ASSERT_TRUE(reader.Read(table_, x, &v).ok());
+  EXPECT_EQ(v.ToString(), "x1");
+  EXPECT_TRUE(reader.Commit().IsPhantom());
+  // The abort released the reader's locks.
+  Put("x", "x2");
+  EXPECT_EQ(Get("x"), "x2");
+}
+
 }  // namespace
 }  // namespace ermia

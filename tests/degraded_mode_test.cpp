@@ -12,6 +12,7 @@
 //    producers never deadlock behind the frozen durable offset.
 //  - The watchdog trips (once) on a log that stays degraded, and re-arms
 //    only after recovery.
+//  - A stall does not park the maintenance loop behind a checkpoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -321,7 +322,8 @@ TEST(DegradedModeTest, WatchdogTripsOncePerDegradation) {
   fault::Disarm();
   ASSERT_EQ(db->log().health(), LogHealth::kPoisoned);
 
-  // watchdog_interval_ms = 0 disables the daemon; drive detection by hand.
+  // watchdog_interval_ms = 0 disables the watchdog phase; drive detection by
+  // hand.
   // Constructed after the poison so every non-health baseline (durable
   // offset, epoch boundary, safe-snapshot horizon) is seeded from the
   // already-quiesced engine; the only bad signal is the log health.
@@ -333,6 +335,48 @@ TEST(DegradedModeTest, WatchdogTripsOncePerDegradation) {
   EXPECT_EQ(wd.CheckOnce(), Watchdog::Reason::kNone);
   EXPECT_EQ(wd.trips(), 1u);
   EXPECT_GE(Counter(db.get(), metrics::Ctr::kWatchdogTrips), 1u);
+}
+
+// The checkpoint shares the maintenance thread with the GC, the snapshot
+// tick and the watchdog, so a checkpoint that meets a stall must give up
+// instead of parking the loop in its durability wait: the watchdog still
+// trips on the degraded log, and Close() returns once the stall resolves.
+TEST(DegradedModeTest, StallDoesNotParkTheMaintenanceLoop) {
+  EngineConfig config = DegradedConfig();
+  config.checkpoint_interval_ms = 1;
+  config.watchdog_interval_ms = 5;
+  config.watchdog_grace_ms = 50;
+  testing::TempDb db(config);
+  Table* table = db->CreateTable("kv");
+  Index* pk = db->CreateIndex(table, "kv_pk");
+  ASSERT_TRUE(db->Open().ok());
+  ASSERT_TRUE(PutTxn(db.get(), table, pk, "k0", "v0").ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return Counter(db.get(), metrics::Ctr::kCheckpointsTaken) >= 1;
+  }));
+
+  fault::Plan plan;
+  plan.mode = fault::Mode::kShortWrite;
+  plan.trigger_after = 1;
+  plan.fire_count = fault::kFireUntilDisarmed;
+  fault::InstallPlan(plan);
+  ASSERT_TRUE(PutTxn(db.get(), table, pk, "k1", "v1").ok());
+  ASSERT_TRUE(
+      WaitFor([&] { return db->log().health() == LogHealth::kStalled; }));
+  ASSERT_TRUE(WaitFor([&] {
+    return db->watchdog()->last_reason() == Watchdog::Reason::kLogDegraded;
+  })) << "the watchdog phase stopped running during the stall";
+  const uint64_t passes = Counter(db.get(), metrics::Ctr::kGcPasses);
+  EXPECT_TRUE(WaitFor([&] {
+    return Counter(db.get(), metrics::Ctr::kGcPasses) > passes;
+  })) << "the GC phase stopped running during the stall";
+
+  fault::Disarm();
+  ASSERT_TRUE(
+      WaitFor([&] { return db->log().health() == LogHealth::kHealthy; }));
+  const auto t0 = std::chrono::steady_clock::now();
+  db.ShutDown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 // Shutdown while stalled: commits the log never made durable may be lost,

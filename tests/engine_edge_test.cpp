@@ -1,11 +1,14 @@
-// Engine edge cases: stats/introspection, the background checkpoint daemon,
-// GC behavior with pinned old snapshots, value-size extremes, many
+// Engine edge cases: stats/introspection, the maintenance loop (periodic
+// checkpoints, the OCC snapshot tick, GC, and its thread budget), GC
+// behavior with pinned old snapshots, value-size extremes, many
 // tables/indexes, update churn with chain trimming, and transaction object
 // lifetime quirks (destructor abort, commit-after-finish misuse guards).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "test_util.h"
 
@@ -196,7 +199,7 @@ TEST(SnapshotDaemonTest, OccSnapshotAdvancesOverTime) {
     ASSERT_TRUE(txn.Insert(t, pk, "k", "v", nullptr).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  // The daemon refreshes every 10ms; wait for it to observe the commit.
+  // The loop refreshes every 10ms; wait for it to observe the commit.
   for (int i = 0; i < 100 && db->occ_snapshot_offset() <= s0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -243,7 +246,7 @@ TEST(UpdateChurnTest, HeavyChurnKeepsLatestVisibleAndGcTrims) {
     ASSERT_TRUE(txn.Update(t, oid, std::to_string(i)).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  // Give the GC daemon a moment, then verify both the value and that the
+  // Give the GC phase a moment, then verify both the value and that the
   // chain did not grow unboundedly.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Transaction txn(db.get(), CcScheme::kSi);
@@ -281,6 +284,108 @@ TEST(MultiSchemeInterplayTest, SchemesShareOneDatabase) {
     EXPECT_EQ(v.ToString(), "from-occ");
     ASSERT_TRUE(ssn.Commit().ok());
   }
+}
+
+size_t ProcessThreads() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Every maintenance phase on (checkpoint, reporter, watchdog, GC, snapshot
+// tick): an open Database runs the log flusher and the maintenance loop, and
+// no other thread.
+TEST(MaintenanceLoopTest, EngineAddsAtMostTwoThreads) {
+  const std::string report_dir = testing::MakeTempDir();
+  EngineConfig config;
+  config.checkpoint_interval_ms = 1000;
+  config.watchdog_interval_ms = 1000;
+  config.metrics_report_interval_ms = 1000;
+  config.metrics_report_path = report_dir + "/metrics.jsonl";
+  ASSERT_TRUE(config.enable_gc);
+  {
+    testing::TempDb db(config);
+    Table* t = db->CreateTable("t");
+    db->CreateIndex(t, "t_pk");
+    const size_t before = ProcessThreads();
+    ASSERT_TRUE(db->Open().ok());
+    EXPECT_LE(ProcessThreads(), before + 2);
+  }
+  testing::RemoveDir(report_dir);
+}
+
+// Close() wakes the loop instead of sleeping out a long phase period.
+TEST(MaintenanceLoopTest, CloseDoesNotWaitOutCheckpointInterval) {
+  EngineConfig config;
+  config.checkpoint_interval_ms = 60000;
+  testing::TempDb db(config);
+  ASSERT_TRUE(db->Open().ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  db->Close();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+// Checkpoints, 2 ms GC passes, snapshot ticks, watchdog checks and reporter
+// lines all run on the one maintenance thread while workers commit updates
+// (a TSan target: scripts/run_tsan.sh runs this suite).
+TEST(MaintenanceLoopTest, PhasesRunWhileWorkersCommit) {
+  const std::string report_dir = testing::MakeTempDir();
+  EngineConfig config;
+  config.checkpoint_interval_ms = 5;
+  config.gc_interval_ms = 2;
+  config.occ_snapshot_interval_ms = 1;
+  config.watchdog_interval_ms = 5;
+  config.metrics_report_interval_ms = 5;
+  config.metrics_report_path = report_dir + "/metrics.jsonl";
+  {
+    testing::TempDb db(config);
+    Table* t = db->CreateTable("t");
+    Index* pk = db->CreateIndex(t, "t_pk");
+    ASSERT_TRUE(db->Open().ok());
+    constexpr int kWorkers = 3;
+    constexpr int kKeys = 8;
+    for (int k = 0; k < kKeys; ++k) {
+      Transaction txn(db.get(), CcScheme::kSi);
+      ASSERT_TRUE(txn.Insert(t, pk, "k" + std::to_string(k), "0", nullptr).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+    auto counter = [&](metrics::Ctr c) {
+      return db->SnapshotMetrics().counter(c);
+    };
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        for (int i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
+          if (i % 64 == 0 &&
+              counter(metrics::Ctr::kCheckpointsTaken) >= 3 &&
+              counter(metrics::Ctr::kGcVersionsReclaimed) > 0) {
+            break;
+          }
+          Transaction txn(db.get(), CcScheme::kSi);
+          Oid oid = 0;
+          const std::string key = "k" + std::to_string((w + i) % kKeys);
+          if (txn.GetOid(pk, key, &oid).ok() &&
+              txn.Update(t, oid, std::to_string(i)).ok()) {
+            (void)txn.Commit();
+          } else {
+            txn.Abort();
+          }
+        }
+        ThreadRegistry::Deregister();
+      });
+    }
+    for (auto& th : workers) th.join();
+    EXPECT_GE(counter(metrics::Ctr::kCheckpointsTaken), 3u);
+    EXPECT_GT(counter(metrics::Ctr::kGcVersionsReclaimed), 0u);
+    EXPECT_EQ(counter(metrics::Ctr::kWatchdogTrips), 0u);
+  }
+  testing::RemoveDir(report_dir);
 }
 
 }  // namespace
