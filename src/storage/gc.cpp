@@ -1,7 +1,6 @@
 #include "storage/gc.h"
 
-#include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "trace/trace.h"
 
@@ -48,18 +47,21 @@ size_t GarbageCollector::RunOnce() {
   // A hot record is queued once per update, and each walk passes every
   // version committed since the pass began. Walked once per entry, a hot
   // chain costs time quadratic in the updates per pass, and a slow pass lets
-  // more queue until it never ends. Walk each record once.
-  std::sort(batch.begin(), batch.end(), [](const Item& a, const Item& b) {
-    return std::make_pair(a.table->fid(), a.oid) <
-           std::make_pair(b.table->fid(), b.oid);
-  });
-  batch.erase(std::unique(batch.begin(), batch.end(),
-                          [](const Item& a, const Item& b) {
-                            return a.table == b.table && a.oid == b.oid;
-                          }),
-              batch.end());
+  // more queue until it never ends. A direct-mapped filter of the records
+  // this pass walked skips the repeats in one probe per entry, keeping the
+  // queue order. A repeat whose slot another record took in between is
+  // walked again: harmless, and rare for a record hot enough to matter.
+  constexpr int kFilterBits = 12;
+  std::vector<uint64_t> walked(size_t{1} << kFilterBits, ~uint64_t{0});
   size_t reclaimed = 0;
   for (const Item& item : batch) {
+    const uint64_t id =
+        static_cast<uint64_t>(item.table->fid()) << 32 | item.oid;
+    // Fibonacci hashing over the combined id, as in RecordLockTable.
+    uint64_t& slot =
+        walked[(id * 0x9E3779B97F4A7C15ull) >> (64 - kFilterBits)];
+    if (slot == id) continue;
+    slot = id;
     Version* head = item.table->array().Head(item.oid);
     if (head == nullptr) continue;
     // Find the newest version whose stamp is a committed LSN strictly below

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/spin_latch.h"
