@@ -43,15 +43,6 @@ for t in cc_ssn_parallel_test serializability_stress_test ssn_readopt_test; do
   ERMIA_SSN_READOPT=on "$BUILD_DIR/tests/$t"
 done
 
-# The concurrency suite again with the slab allocator forced on, so TSan
-# covers the transfer-cache Treiber stacks and the epoch-deferred limbo path
-# under real cross-thread version traffic (default config already enables
-# slab, but the explicit pass keeps coverage if the default ever flips).
-for t in cc_ssn_parallel_test concurrency_test version_alloc_test; do
-  echo "=== $t (tsan, ERMIA_VERSION_ALLOCATOR=slab) ==="
-  ERMIA_VERSION_ALLOCATOR=slab "$BUILD_DIR/tests/$t"
-done
-
 # The crash harness forks workload children whose flusher/checkpoint/worker
 # threads race against an injected kill — a good TSan target for the
 # durability path. A short sweep keeps the wall-clock sane under TSan.

@@ -38,12 +38,6 @@ class ThreadRegistry {
 // always recorded when tracing is on); kAll records every transaction.
 enum class TraceMode : uint32_t { kOff = 0, kSampled = 1, kAll = 2 };
 
-// Version allocation backend (storage/version_alloc.h). kSlab is the
-// epoch-integrated per-thread slab allocator; kMalloc keeps raw malloc/free
-// selectable for sanitizer runs (real frees for use-after-free detection)
-// and A/B ablation.
-enum class VersionAllocMode : uint32_t { kSlab = 0, kMalloc = 1 };
-
 struct EngineConfig {
   // Directory for log segment files and checkpoints. Empty = fully in-memory
   // logging (log records still flow through the central buffer but are
@@ -112,10 +106,6 @@ struct EngineConfig {
   // copied"), a phase of the maintenance loop. 0 disables the phase;
   // checkpoints can still be taken explicitly via Database::TakeCheckpoint().
   uint64_t checkpoint_interval_ms = 0;
-
-  // Version allocation backend. The ERMIA_VERSION_ALLOCATOR environment
-  // variable ("slab" | "malloc") overrides this at Database construction.
-  VersionAllocMode version_allocator = VersionAllocMode::kSlab;
 
   // Metrics reporter phase of the maintenance loop: every interval, emit a
   // JSON-lines delta of the engine metrics snapshot. 0 disables the phase

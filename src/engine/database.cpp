@@ -16,19 +16,9 @@
 namespace ermia {
 
 namespace {
-// ERMIA_VERSION_ALLOCATOR=slab|malloc overrides the config (sanitizer runs
-// and ablation sweeps flip the backend without touching call sites).
-VersionAllocMode ResolveVersionAllocMode(VersionAllocMode configured) {
-  const char* env = std::getenv("ERMIA_VERSION_ALLOCATOR");
-  if (env == nullptr) return configured;
-  if (std::strcmp(env, "malloc") == 0) return VersionAllocMode::kMalloc;
-  if (std::strcmp(env, "slab") == 0) return VersionAllocMode::kSlab;
-  return configured;
-}
-
 // ERMIA_TRACE=off|sampled[:N]|all overrides trace_mode/trace_sample_every
-// (same pattern as the allocator override: CI and ad-hoc runs enable the
-// flight recorder without touching call sites).
+// (CI and ad-hoc runs enable the flight recorder without touching call
+// sites).
 void ResolveTraceMode(EngineConfig* config) {
   const char* env = std::getenv("ERMIA_TRACE");
   if (env == nullptr) return;
@@ -46,8 +36,8 @@ void ResolveTraceMode(EngineConfig* config) {
 }
 
 // ERMIA_SSN_READOPT=off|on|both|safesnap|readopt overrides the SSN
-// read-mostly flags (cc/safe_snapshot.h) — same pattern as the allocator and
-// trace overrides, so stress scripts and CI flip the features per run.
+// read-mostly flags (cc/safe_snapshot.h) — same pattern as the trace
+// override, so stress scripts and CI flip the features per run.
 void ResolveSsnReadOpt(EngineConfig* config) {
   const char* env = std::getenv("ERMIA_SSN_READOPT");
   if (env == nullptr) return;
@@ -68,13 +58,11 @@ void ResolveSsnReadOpt(EngineConfig* config) {
 
 Database::Database(EngineConfig config)
     : config_(std::move(config)), log_(config_, &metrics_) {
-  config_.version_allocator = ResolveVersionAllocMode(config_.version_allocator);
   ResolveTraceMode(&config_);
   ResolveSsnReadOpt(&config_);
   if (config_.governor_enabled) {
     governor_ = std::make_unique<OverloadGovernor>(config_, &metrics_);
   }
-  VersionAllocator::Instance().SetMode(config_.version_allocator);
   // Register the GC epoch manager so deferred version frees can reference it
   // by (slot, generation); detached in ~Database before members die.
   VersionAllocator::Instance().AttachEpoch(&gc_epoch_);

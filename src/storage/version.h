@@ -63,9 +63,8 @@ struct Version {
   uint64_t log_ptr{0};
   uint32_t size{0};
   bool tombstone{false};
-  // Allocator provenance (VersionAllocator size class, or 0xFF for raw
-  // malloc). Set by Alloc; Free routes by it, so versions survive
-  // an EngineConfig::version_allocator mode change mid-process.
+  // Allocator provenance (VersionAllocator size class, or 0xFF for a block
+  // over 8 KiB that came from malloc). Set by Alloc; Free routes by it.
   uint8_t alloc_class{0xFF};
 
   // Payload bytes follow the struct.

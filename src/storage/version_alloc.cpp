@@ -9,13 +9,6 @@ namespace ermia {
 
 namespace {
 
-constexpr uint8_t kPoisonByte = 0xEF;
-// Marks a freelist block as poisoned (word [8,16) of the block; the freelist
-// link itself only uses [0,8)). Batch heads overwrite this word with their
-// batch count, which can never equal the magic, so spliced batch heads are
-// simply skipped by verification.
-constexpr uint64_t kPoisonMagic = 0xA110CEDEADBEEF01ull;
-
 // Size-class table. Fine 32 B steps while blocks are small (most versions are
 // a 56 B header plus a short payload), coarser steps above — 27 classes from
 // 64 B to 8 KiB, worst-case internal fragmentation ~14%.
@@ -46,24 +39,32 @@ const SizeTable& Sizes() {
   return table;
 }
 
+// Free blocks are ASan-poisoned whole. The allocator's own words in them —
+// the freelist link at [0,8) and a transfer batch's count at [8,16) — are
+// accessed only through these helpers, each unpoisoning just the 8 bytes it
+// touches for the duration of the access.
 uint64_t ReadWord(void* block, size_t off) {
+  char* p = static_cast<char*>(block) + off;
   uint64_t w;
-  std::memcpy(&w, static_cast<char*>(block) + off, sizeof w);
+  ASAN_UNPOISON_MEMORY_REGION(p, sizeof w);
+  std::memcpy(&w, p, sizeof w);
+  ASAN_POISON_MEMORY_REGION(p, sizeof w);
   return w;
 }
 
 void WriteWord(void* block, size_t off, uint64_t w) {
-  std::memcpy(static_cast<char*>(block) + off, &w, sizeof w);
+  char* p = static_cast<char*>(block) + off;
+  ASAN_UNPOISON_MEMORY_REGION(p, sizeof w);
+  std::memcpy(p, &w, sizeof w);
+  ASAN_POISON_MEMORY_REGION(p, sizeof w);
 }
 
 void* ReadLink(void* block) {
-  void* p;
-  std::memcpy(&p, block, sizeof p);
-  return p;
+  return reinterpret_cast<void*>(ReadWord(block, 0));
 }
 
 void WriteLink(void* block, void* next) {
-  std::memcpy(block, &next, sizeof next);
+  WriteWord(block, 0, reinterpret_cast<uint64_t>(next));
 }
 
 }  // namespace
@@ -203,18 +204,7 @@ VersionAllocator::ThreadCache* VersionAllocator::Cache() {
 }
 
 void VersionAllocator::RetireCache(ThreadCache* c) {
-  // Freelists go to the transfer cache (full batches, then a remainder
-  // batch) so another thread can reuse the memory.
-  for (uint8_t cls = 0; cls < kNumClasses; ++cls) {
-    while (c->free_count[cls] >= kTransferBatch) FlushBatch(c, cls);
-    if (c->free_count[cls] > 0) {
-      void* head = c->free_head[cls];
-      WriteWord(head, 8, c->free_count[cls]);
-      transfer_[cls].Push(head);
-      c->free_head[cls] = nullptr;
-      c->free_count[cls] = 0;
-    }
-  }
+  FlushFreelists(c);  // so another thread can reuse the memory
   SpinLatchGuard g(caches_latch_);
   // Unexpired limbo entries outlive the thread on the orphan list; they are
   // adopted by whichever thread harvests next.
@@ -240,38 +230,18 @@ void VersionAllocator::RetireCache(ThreadCache* c) {
   delete c;
 }
 
-void VersionAllocator::ApplyPoison(void* block, uint8_t cls) {
-  const size_t csize = ClassBytes(cls);
-  if (csize <= 16) return;
-  std::memset(static_cast<char*>(block) + 16, kPoisonByte, csize - 16);
-  WriteWord(block, 8, kPoisonMagic);
-}
-
-void VersionAllocator::VerifyPoison(void* block, uint8_t cls) {
-  if (ReadWord(block, 8) != kPoisonMagic) return;  // not poisoned (or batch head)
-  const size_t csize = ClassBytes(cls);
-  const unsigned char* p = static_cast<unsigned char*>(block);
-  for (size_t i = 16; i < csize; ++i) {
-    ERMIA_CHECK(p[i] == kPoisonByte);  // something wrote to a reclaimed block
-  }
-  WriteWord(block, 8, 0);
-}
-
 void* VersionAllocator::PopLocal(ThreadCache* c, uint8_t cls) {
   void* b = c->free_head[cls];
   if (b == nullptr) return nullptr;
   c->free_head[cls] = ReadLink(b);
   --c->free_count[cls];
-  if (ERMIA_UNLIKELY(poison_.load(std::memory_order_acquire))) {
-    VerifyPoison(b, cls);
-  }
   return b;
 }
 
+// The whole block is poisoned, Version::next and clsn included: those are
+// what a reader still holding a reclaimed version would load first.
 void VersionAllocator::PushLocal(ThreadCache* c, uint8_t cls, void* block) {
-  if (ERMIA_UNLIKELY(poison_.load(std::memory_order_acquire))) {
-    ApplyPoison(block, cls);
-  }
+  ASAN_POISON_MEMORY_REGION(block, ClassBytes(cls));
   WriteLink(block, c->free_head[cls]);
   c->free_head[cls] = block;
   if (++c->free_count[cls] > kFreelistHighWater) FlushBatch(c, cls);
@@ -310,6 +280,7 @@ void* VersionAllocator::CarveFromSlab(ThreadCache* c, uint8_t cls) {
     // The chunk remainder (< one max-class block) is abandoned; chunks are
     // never unmapped.
     char* chunk = static_cast<char*>(MapHugeRegion(kChunkBytes));
+    ASAN_POISON_MEMORY_REGION(chunk, kChunkBytes);
     slab_bytes_.fetch_add(kChunkBytes, std::memory_order_relaxed);
     c->slab_pos = chunk;
     c->slab_end = chunk + kChunkBytes;
@@ -321,12 +292,6 @@ void* VersionAllocator::CarveFromSlab(ThreadCache* c, uint8_t cls) {
 }
 
 void* VersionAllocator::Allocate(size_t bytes, uint8_t* cls) {
-  if (mode() == VersionAllocMode::kMalloc) {
-    *cls = kMallocClass;
-    void* b = std::malloc(bytes);
-    ERMIA_CHECK(b != nullptr);
-    return b;
-  }
   const uint8_t c = ClassFor(bytes);
   if (ERMIA_UNLIKELY(c == kMallocClass)) {
     Bump(Cache()->stats.malloc_fallbacks);
@@ -347,9 +312,12 @@ void* VersionAllocator::Allocate(size_t bytes, uint8_t* cls) {
   if (b == nullptr && SpliceFromTransfer(tc, c)) b = PopLocal(tc, c);
   if (b != nullptr) {
     Bump(tc->stats.freelist_hits);
-    return b;
+  } else {
+    b = CarveFromSlab(tc, c);
   }
-  return CarveFromSlab(tc, c);
+  // The class's slack past `bytes` stays poisoned, so an overrun trips ASan.
+  ASAN_UNPOISON_MEMORY_REGION(b, bytes);
+  return b;
 }
 
 void VersionAllocator::Free(void* block, uint8_t cls) {
@@ -494,8 +462,10 @@ void VersionAllocator::DetachEpoch(EpochManager* mgr) {
 
 size_t VersionAllocator::HarvestThisThread() { return Harvest(Cache()); }
 
-void VersionAllocator::FlushThisThread() {
-  ThreadCache* c = Cache();
+void VersionAllocator::FlushThisThread() { FlushFreelists(Cache()); }
+
+// Full batches, then one remainder batch per class.
+void VersionAllocator::FlushFreelists(ThreadCache* c) {
   for (uint8_t cls = 0; cls < kNumClasses; ++cls) {
     while (c->free_count[cls] >= kTransferBatch) FlushBatch(c, cls);
     if (c->free_count[cls] > 0) {

@@ -8,8 +8,7 @@
 //  * Size classes. Payload-carrying blocks are rounded up to one of
 //    kNumClasses sizes between 64 B and 8 KiB (fine 32 B steps while blocks
 //    are small, coarser steps above). Larger blocks fall back to malloc and
-//    are tagged kMallocClass so Free() always routes by provenance — a mode
-//    switch mid-run can never send a block back to the wrong allocator.
+//    are tagged kMallocClass so Free() always routes by provenance.
 //  * Thread-local caches. Each thread owns one freelist per class plus a bump
 //    pointer into a large slab chunk. Allocation is: pop the freelist, else
 //    splice a batch from the global transfer cache, else carve from the slab.
@@ -24,6 +23,11 @@
 //    entries it reclaims (only then is the first word reused as the
 //    freelist link). Free() without an epoch is reserved for versions that
 //    were never published to a chain.
+//  * ASan poisoning. A block is poisoned whole when it joins a freelist and
+//    unpoisoned for exactly the requested bytes when handed out, so in an
+//    ASan build a read of a reclaimed version, or a write into a class's
+//    slack, faults at the access. Limbo blocks stay unpoisoned: readers may
+//    still walk them. Outside ASan builds the poisoning compiles to nothing.
 //  * Transfer cache. Freelist overflow (e.g. the GC pass reclaiming whole
 //    chains) is flushed to a per-class lock-free Treiber stack in batches of
 //    kTransferBatch intrusively linked blocks; worker threads splice batches
@@ -51,7 +55,6 @@
 #include "common/huge_pages.h"
 #include "common/macros.h"
 #include "common/spin_latch.h"
-#include "common/sysconf.h"  // VersionAllocMode
 #include "common/treiber_stack.h"
 
 namespace ermia {
@@ -76,13 +79,6 @@ class VersionAllocator {
   static constexpr uint32_t kMaxEpochSlots = 8;
 
   static VersionAllocator& Instance();
-
-  void SetMode(VersionAllocMode m) {
-    mode_.store(m, std::memory_order_release);
-  }
-  VersionAllocMode mode() const {
-    return mode_.load(std::memory_order_acquire);
-  }
 
   // Returns at least `bytes` of uninitialized storage and tags *cls with the
   // provenance byte the caller must keep for Free/FreeDeferred.
@@ -111,7 +107,7 @@ class VersionAllocator {
     uint64_t slab_carves = 0;       // allocations served by bump carving
     uint64_t transfer_pushes = 0;   // batches flushed to the transfer cache
     uint64_t transfer_pops = 0;     // batches spliced from the transfer cache
-    uint64_t malloc_fallbacks = 0;  // slab-mode blocks too big for a class
+    uint64_t malloc_fallbacks = 0;  // blocks too big for a class
     uint64_t deferred_frees = 0;    // FreeDeferred calls
     uint64_t limbo_recycled = 0;    // limbo entries harvested to freelists
     uint64_t immediate_frees = 0;   // Free calls on slab blocks
@@ -124,10 +120,6 @@ class VersionAllocator {
   static uint8_t ClassFor(size_t bytes);
 
   // ---- test hooks ----
-  // Poison recycled blocks and verify the poison is intact at handout
-  // (catches writes between reclamation and reuse). Enable only in tests:
-  // verification assumes no concurrent allocator traffic on poisoned blocks.
-  void SetPoison(bool on) { poison_.store(on, std::memory_order_release); }
   // Forces a harvest of the calling thread's limbo; returns entries moved to
   // freelists.
   size_t HarvestThisThread();
@@ -146,17 +138,13 @@ class VersionAllocator {
   void* PopLocal(ThreadCache* c, uint8_t cls);
   void PushLocal(ThreadCache* c, uint8_t cls, void* block);
   void FlushBatch(ThreadCache* c, uint8_t cls);
+  void FlushFreelists(ThreadCache* c);
   bool SpliceFromTransfer(ThreadCache* c, uint8_t cls);
   void* CarveFromSlab(ThreadCache* c, uint8_t cls);
   size_t Harvest(ThreadCache* c);
   void DrainOrphansInto(ThreadCache* c);
-  void ApplyPoison(void* block, uint8_t cls);
-  void VerifyPoison(void* block, uint8_t cls);
 
   friend struct VersionAllocatorTls;
-
-  std::atomic<VersionAllocMode> mode_{VersionAllocMode::kSlab};
-  std::atomic<bool> poison_{false};
 
   // Per-class lock-free batch stacks (the transfer cache).
   TreiberStack<void*> transfer_[kNumClasses];

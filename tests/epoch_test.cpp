@@ -117,6 +117,9 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
   };
   std::vector<Resource*> live(64);
   for (auto& r : live) r = new Resource();
+  // Retired resources stay allocated until the readers are joined: readers
+  // probe `dead` after the cleanup ran.
+  std::vector<Resource*> husks;
   SpinLatch latch;
 
   std::vector<std::thread> readers;
@@ -148,10 +151,10 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
         old = live[i];
         live[i] = fresh;
       }
+      husks.push_back(old);
       mgr.Defer([old, &freed] {
         old->dead.store(true, std::memory_order_release);
         freed.fetch_add(1);
-        // Intentionally leak the husk: readers probe `dead` afterwards.
       });
       mgr.Advance();
       mgr.RunReclaimers();
@@ -165,7 +168,9 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
   mgr.Advance();
   mgr.RunReclaimers();
   EXPECT_EQ(use_after_free.load(), 0u);
-  EXPECT_EQ(freed.load(), 200u);
+  ASSERT_EQ(freed.load(), 200u);  // no cleanup left to touch a husk
+  for (Resource* r : husks) delete r;
+  for (Resource* r : live) delete r;
 }
 
 TEST(EpochTest, ManyManagersIndependentTimescales) {
